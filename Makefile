@@ -1,7 +1,7 @@
 # Tier-1 gate: what CI runs on every PR.
 .PHONY: check build test fmt verify verify-protocol verify-continuous \
 	sanitize-smoke bench-smoke churn-smoke native-smoke model-check \
-	model-check-negative race-check fsm-check clean
+	model-check-negative race-check fsm-check bench-golden clean
 
 check: build test fmt verify
 
@@ -155,8 +155,10 @@ bench-smoke: build
 # attached. Asserts the streaming-histogram percentile block is in the
 # JSON, that the SYN flood forces half-open (never established)
 # conntrack evictions, that listen-queue pressure trips the backlog
-# cap, and that a shard crash mid-churn recovers cleanly.
+# cap, and that a shard crash mid-churn recovers cleanly. A count of
+# zero is a usage error (cmdliner's exit 124), not a crash.
 churn-smoke: build
+	dune exec bin/newtos_sim.exe -- churn --shards 0 2>/dev/null; test $$? -eq 124
 	dune exec bin/newtos_sim.exe -- churn --duration 0.25 --rate 4000 \
 	    --json --verify-continuous > _churn.json
 	grep -q '"p99_us"' _churn.json
@@ -173,6 +175,13 @@ churn-smoke: build
 	    --duration 0.3 --rate 3000 --json --verify-continuous > _churn.json
 	grep -q '"shard_restarts":1' _churn.json
 	rm -f _churn.json
+
+# The benchmark's self-test: every workload's simulated outputs must
+# match perfbench/golden.txt bit for bit on fixed seeds, and the
+# traced replays must agree with the untraced runs. The check that a
+# refactor left every simulated output unchanged.
+bench-golden:
+	python3 perfbench/run.py --selftest
 
 # A bounded run of the native runtime: the component servers on two
 # real OCaml domains over real SPSC rings, iperf bulk + split-stack

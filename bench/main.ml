@@ -316,13 +316,9 @@ let print_fig5 () =
    violation or leak.  The aggregator's per-run accounting folds the
    protocol counters into the same block. *)
 let with_verify f =
-  V.Sanitizer.install ();
-  V.Protocol.install ();
   let v = V.Continuous.create () in
-  Fun.protect
-    ~finally:(fun () ->
-      V.Protocol.uninstall ();
-      V.Sanitizer.uninstall ())
+  V.Checker.with_checkers
+    [ (module V.Sanitizer); (module V.Protocol) ]
     (fun () -> f v);
   Printf.printf "{%s}\n\n" (V.Continuous.json v);
   if not (V.Continuous.ok v) then exit 1

@@ -32,72 +32,39 @@ let print_trace name (t : E.crash_trace) ~paper_note =
     t.E.duplicate_segments t.E.sender_retransmits t.E.lost_segments
     t.E.component_restarts
 
-(* Run [f] with the pool-ownership sanitizer watching, then print its
-   verdict.  Any violation fails the invocation so CI can gate on it. *)
-let with_sanitizer ?(quiet = false) enabled f =
-  if not enabled then f ()
-  else begin
-    V.Sanitizer.install ();
-    Fun.protect ~finally:V.Sanitizer.uninstall f;
-    let report = V.Sanitizer.report ~title:"pool-ownership sanitizer" () in
-    if not quiet then begin
-      print_string (V.Report.to_string report);
-      print_newline ()
-    end;
-    if not (V.Report.ok report) then exit 1
-  end
+(* The stream checkers the flags ask for, each with whether its trace
+   closes drained, in the order their verdicts print. Only the protocol
+   checker may close drained (a quiesced tail: open obligations are
+   violations), and only where the caller says the run drains; the
+   sanitizer's leak check belongs to --verify-continuous, which runs
+   the longer quiesced tail it needs. *)
+let stream_checkers ?(drained = false) ~sanitize ~protocol ~tcp_fsm () =
+  List.filter_map
+    (fun (wanted, c) -> if wanted then Some c else None)
+    [
+      (protocol, ((module V.Protocol : V.Checker.S), drained));
+      (sanitize, ((module V.Sanitizer), false));
+      (tcp_fsm, ((module V.Tcpfsm), false));
+    ]
 
-(* Run [f] with the dynamic channel-protocol checker replaying the
-   request/confirm contract, then print its verdict.  [drained] closes
-   the trace strictly (a quiesced tail: open obligations are
-   violations).  Under --verify-continuous the per-run aggregation has
-   already absorbed and reset the checker's state, so this outer report
-   only carries whatever the aggregator did not claim. *)
-let with_protocol ?(quiet = false) ?(drained = false) enabled f =
-  if not enabled then f ()
-  else begin
-    V.Protocol.install ();
-    Fun.protect ~finally:V.Protocol.uninstall f;
-    V.Protocol.finish ~drained ();
-    let report = V.Protocol.report ~title:"channel-protocol checker" () in
-    if not quiet then begin
-      print_string (V.Report.to_string report);
-      print_newline ()
-    end;
-    if not (V.Report.ok report) then exit 1
-  end
-
-(* Run [f] with the TCP conformance checker riding the simulator's TCP
-   hook chain, then print its verdict.  Under --verify-continuous the
-   per-run aggregation absorbs and resets the checker's state, so this
-   outer report only carries whatever the aggregator did not claim. *)
-let with_tcpfsm ?(quiet = false) enabled f =
-  if not enabled then f ()
-  else begin
-    V.Tcpfsm.install ();
-    Fun.protect ~finally:V.Tcpfsm.uninstall f;
-    let report = V.Tcpfsm.report ~title:"tcp-fsm conformance checker" () in
-    if not quiet then begin
-      print_string (V.Report.to_string report);
-      print_newline ()
-    end;
-    if not (V.Report.ok report) then exit 1
-  end
-
-(* Run [f] with the simulator's verification hooks sampled one subject
-   in [n] (pool slots, request ids, TCP connections; clock-critical
-   events are never sampled out), restoring full fidelity after. *)
-let with_sample n f =
-  if n <= 1 then f ()
-  else begin
-    Newt_channels.Hook.set_sim_sample n;
-    Newt_channels.Hook.set_tcp_sample n;
-    Fun.protect
-      ~finally:(fun () ->
-        Newt_channels.Hook.set_sim_sample 1;
-        Newt_channels.Hook.set_tcp_sample 1)
-      f
-  end
+(* Run [f] with [checkers] armed and the verification stream sampled
+   one subject in [sample] (pool slots, request ids, TCP connections;
+   clock-critical events are never sampled out), then print each
+   checker's verdict. Any violation fails the invocation so CI can
+   gate on it. Under --verify-continuous the per-run aggregation has
+   already absorbed and reset the checkers' state, so these reports
+   only carry whatever the aggregator did not claim. *)
+let with_checkers ?(quiet = false) ~sample checkers f =
+  V.Checker.with_checkers ~sample (List.map fst checkers) f;
+  List.iter
+    (fun ((module C : V.Checker.S), drained) ->
+      let report = C.report ~drained () in
+      if not quiet then begin
+        print_string (V.Report.to_string report);
+        print_newline ()
+      end;
+      if not (V.Report.ok report) then exit 1)
+    checkers
 
 (* Run [f] with a continuous-verification aggregator when requested:
    the experiment re-runs the static checker after every reincarnation
@@ -126,26 +93,24 @@ let with_continuous ?(quiet = false) enabled f =
   end
 
 let print_fig4 seed sanitize protocol verify_continuous tcp_fsm sample =
-  with_sample sample (fun () ->
-      with_tcpfsm tcp_fsm (fun () ->
-          with_sanitizer sanitize (fun () ->
-              with_protocol ~drained:true protocol (fun () ->
-                  with_continuous verify_continuous (fun verify ->
-                      let t = E.figure_ip_crash ~seed ?verify () in
-                      print_trace "Figure 4 — bitrate across an IP server crash (at t=4s)" t
-                        ~paper_note:
-                          "paper: gap of ~2s while the link resets, one retransmission, full recovery")))))
+  with_checkers ~sample
+    (stream_checkers ~drained:true ~sanitize ~protocol ~tcp_fsm ())
+  @@ fun () ->
+  with_continuous verify_continuous @@ fun verify ->
+  let t = E.figure_ip_crash ~seed ?verify () in
+  print_trace "Figure 4 — bitrate across an IP server crash (at t=4s)" t
+    ~paper_note:
+      "paper: gap of ~2s while the link resets, one retransmission, full recovery"
 
 let print_fig5 seed sanitize protocol verify_continuous tcp_fsm sample =
-  with_sample sample (fun () ->
-      with_tcpfsm tcp_fsm (fun () ->
-          with_sanitizer sanitize (fun () ->
-              with_protocol ~drained:true protocol (fun () ->
-                  with_continuous verify_continuous (fun verify ->
-                      let t = E.figure_pf_crash ~seed ?verify () in
-                      print_trace "Figure 5 — bitrate across two packet filter crashes (t=6s, t=12s)" t
-                        ~paper_note:
-                          "paper: crashes almost not noticeable, no packets lost, 1024 rules recovered")))))
+  with_checkers ~sample
+    (stream_checkers ~drained:true ~sanitize ~protocol ~tcp_fsm ())
+  @@ fun () ->
+  with_continuous verify_continuous @@ fun verify ->
+  let t = E.figure_pf_crash ~seed ?verify () in
+  print_trace "Figure 5 — bitrate across two packet filter crashes (t=6s, t=12s)" t
+    ~paper_note:
+      "paper: crashes almost not noticeable, no packets lost, 1024 rules recovered"
 
 let campaign_json runs (c : E.campaign) verify =
   let b = Buffer.create 512 in
@@ -211,12 +176,12 @@ let print_campaign_tables runs c =
 
 let print_campaign runs seed sanitize protocol verify_continuous break_recovery
     pf_shards json sample =
-  with_sample sample @@ fun () ->
-  with_sanitizer ~quiet:json sanitize @@ fun () ->
   (* Not [~drained]: a campaign world can end frozen (reboot cases), so
      only hard violations gate here; the per-run obligation accounting
      happens inside --verify-continuous, which skips frozen runs. *)
-  with_protocol ~quiet:json protocol @@ fun () ->
+  with_checkers ~quiet:json ~sample
+    (stream_checkers ~sanitize ~protocol ~tcp_fsm:false ())
+  @@ fun () ->
   with_continuous ~quiet:json verify_continuous @@ fun verify ->
   let c = E.fault_campaign ~runs ~seed ?verify ?break_recovery ~pf_shards () in
   if json then print_endline (campaign_json runs c verify)
@@ -381,18 +346,17 @@ let print_churn scenario rate duration shards ip_replicas pf_shards bulk_flows
   (* --break-tcp implies the checker: a planted bug that nothing judges
      would be a silently green sabotage run. *)
   let fsm_wanted = tcp_fsm || break_tcp <> None in
-  with_sample sample @@ fun () ->
+  V.Checker.with_checkers ~sample
+    (if fsm_wanted then [ (module V.Tcpfsm) ] else [])
+  @@ fun () ->
   with_continuous ~quiet:json verify_continuous @@ fun verify ->
   let results =
     List.map
       (fun s ->
-        (* One checker lifetime per scenario: each run is a fresh world
+        (* Fresh checker state per scenario: each run is a fresh world
            reusing the same addresses, so shadow PCBs must not leak
            from one run into the next. *)
-        if fsm_wanted then begin
-          V.Tcpfsm.install ();
-          V.Tcpfsm.reset ()
-        end;
+        if fsm_wanted then V.Tcpfsm.reset ();
         let r =
           Ch.run ~scenario:s ~rate ~duration ~shards ~ip_replicas ~pf_shards
             ~bulk_flows ~workers ~payload ~flood_rate ~conntrack_total
@@ -412,7 +376,6 @@ let print_churn scenario rate duration shards ip_replicas pf_shards bulk_flows
         (r, fsm))
       scenarios
   in
-  if fsm_wanted then V.Tcpfsm.uninstall ();
   if json then
     print_endline
       (Printf.sprintf "[%s]"
@@ -480,12 +443,8 @@ let print_verify_protocol json =
 let print_verify_tcpfsm json =
   let lint = V.Tcpfsm.lint_table () in
   let replay title f =
-    V.Tcpfsm.install ();
-    V.Tcpfsm.reset ();
-    f ();
-    let r = V.Tcpfsm.report ~title () in
-    V.Tcpfsm.uninstall ();
-    r
+    V.Checker.with_checkers [ (module V.Tcpfsm) ] f;
+    V.Tcpfsm.report ~title ()
   in
   let r_fig4 =
     replay "tcp-fsm over fig4 (IP crash)" (fun () ->
@@ -714,6 +673,16 @@ let print_mcheck json config budget seed break_recovery =
 
 open Cmdliner
 
+(* A count that must be at least 1: zero or less is a usage error (exit
+   124), not an exception from deep inside the stack. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let sanitize =
   let doc = "Run with the pool-ownership sanitizer installed and print its verdict." in
   Arg.(value & flag & info [ "sanitize" ] ~doc)
@@ -747,13 +716,13 @@ let tcp_fsm_flag =
 
 let verify_sample =
   let doc =
-    "Sample the verification hooks one subject in N (rounded up to a power \
-     of two; 1 checks everything): whole pool slots, request conversations \
-     and TCP connections are kept or dropped together, and clock- and \
-     ownership-critical events are never sampled out — sampling can hide a \
-     violation but never invent one."
+    "Sample the verification event stream one subject in N (rounded up to a \
+     power of two; 1 checks everything) for every armed checker: whole pool \
+     slots, request conversations and TCP connections are kept or dropped \
+     together, and clock- and ownership-critical events are never sampled \
+     out — sampling can hide a violation but never invent one."
   in
-  Arg.(value & opt int 1 & info [ "verify-sample" ] ~docv:"N" ~doc)
+  Arg.(value & opt pos_int 1 & info [ "verify-sample" ] ~docv:"N" ~doc)
 
 (* --break-tcp: the --break-recovery pattern applied to the TCP state
    machine. Each mode plants the paper's §V-B bug class — answering
@@ -993,7 +962,7 @@ let sweep_cmd =
 let scaling_cmd =
   let shard_counts =
     let doc = "Shard counts to sweep." in
-    Arg.(value & opt (list int) [ 1; 2; 4; 8 ] & info [ "shards" ] ~doc)
+    Arg.(value & opt (list pos_int) [ 1; 2; 4; 8 ] & info [ "shards" ] ~doc)
   in
   let flows =
     let doc = "Parallel iperf flows." in
@@ -1001,7 +970,7 @@ let scaling_cmd =
   in
   let ip_replicas =
     let doc = "Replicated IP server instances (capped at the shard count)." in
-    Arg.(value & opt int 1 & info [ "ip-replicas" ] ~doc)
+    Arg.(value & opt pos_int 1 & info [ "ip-replicas" ] ~doc)
   in
   let pf_shards =
     let doc =
@@ -1041,15 +1010,15 @@ let churn_cmd =
   in
   let shards =
     let doc = "TCP shards." in
-    Arg.(value & opt int 8 & info [ "shards" ] ~doc)
+    Arg.(value & opt pos_int 8 & info [ "shards" ] ~doc)
   in
   let ip_replicas =
     let doc = "IP server replicas (capped at the shard count)." in
-    Arg.(value & opt int 4 & info [ "ip-replicas" ] ~doc)
+    Arg.(value & opt pos_int 4 & info [ "ip-replicas" ] ~doc)
   in
   let pf_shards =
     let doc = "Packet-filter shards (capped at the shard count)." in
-    Arg.(value & opt int 2 & info [ "pf-shards" ] ~doc)
+    Arg.(value & opt pos_int 2 & info [ "pf-shards" ] ~doc)
   in
   let bulk_flows =
     let doc = "Bulk iperf flows riding alongside the churn." in
@@ -1057,7 +1026,7 @@ let churn_cmd =
   in
   let workers =
     let doc = "Open-loop RPC workers sharing the offered rate." in
-    Arg.(value & opt int 8 & info [ "workers" ] ~doc)
+    Arg.(value & opt pos_int 8 & info [ "workers" ] ~doc)
   in
   let payload =
     let doc = "RPC payload bytes (echoed back)." in

@@ -1,5 +1,13 @@
 type op = [ `Read | `Write | `Free | `Check ]
 type way = [ `Sent | `Received | `Dropped ]
+type tcp_flags = { syn : bool; ack : bool; fin : bool; rst : bool; data : bool }
+
+type tcp_cause =
+  | T_api
+  | T_timer
+  | T_crash
+  | T_rx of tcp_flags
+  | T_tx of tcp_flags
 
 type event =
   | Pool_own of { pool : int; owner : string }
@@ -20,6 +28,29 @@ type event =
   | Req_reset of { db : int }
   | Msg_req of { chan : int; id : int; way : way }
   | Msg_conf of { chan : int; id : int; way : way }
+  | T_state_change of {
+      lip : int32;
+      lport : int;
+      rip : int32;
+      rport : int;
+      from_s : int;
+      to_s : int;
+      cause : tcp_cause;
+    }
+  | T_seg_tx of {
+      lip : int32;
+      lport : int;
+      rip : int32;
+      rport : int;
+      flags : tcp_flags;
+    }
+  | T_seg_rx of {
+      lip : int32;
+      lport : int;
+      rip : int32;
+      rport : int;
+      flags : tcp_flags;
+    }
 
 type listener = actor:string option -> event -> unit
 type token = int
@@ -40,53 +71,50 @@ let add f =
 
 let remove tok = chain := List.filter (fun (t, _) -> t <> tok) !chain
 
-(* Deprecated one-slot facade: [install] manages a single legacy
-   registration so existing install/uninstall pairs keep working
-   without silently clobbering chain listeners. *)
-let legacy : token option ref = ref None
+(* The native runtime's TCP engines run on spawned domains, which must
+   never touch the chain: their subscriber is one thread-safe slot. A
+   sim engine only ever finds the chain populated and a native engine
+   only the slot, so the cross-domain read of the (empty) chain ref in
+   [emit] races with nobody. *)
+let tcp_native : (event -> unit) option Atomic.t = Atomic.make None
+let set_tcp_native f = Atomic.set tcp_native (Some f)
+let clear_tcp_native () = Atomic.set tcp_native None
 
-let install f =
-  (match !legacy with Some tok -> remove tok | None -> ());
-  legacy := Some (add f)
-
-let uninstall () =
-  match !legacy with
-  | Some tok ->
-      remove tok;
-      legacy := None
-  | None -> ()
-
-let enabled () = !chain <> []
+let enabled ?(tcp = false) () =
+  !chain <> [] || (tcp && Atomic.get tcp_native <> None)
 
 (* ------------------------------------------------------------------ *)
-(* Simulator-side sampling.                                           *)
+(* Sampling.                                                          *)
 (*                                                                    *)
-(* The native family below samples by event count; the sim checkers   *)
-(* (sanitizer slot state machines, per-id protocol conversations)     *)
-(* would be incoherent under that — seeing an alloc but not the free  *)
-(* reads as a leak. So the sim samples by {e subject}: a slot or a    *)
-(* request id is either fully observed or fully invisible, decided by *)
+(* The native race family below samples by event count; the stream    *)
+(* checkers (sanitizer slot state machines, per-id protocol           *)
+(* conversations, per-connection shadow PCBs) would be incoherent     *)
+(* under that — seeing an alloc but not the free reads as a leak. So  *)
+(* the stream samples by {e subject}: a slot, a request id or a       *)
+(* connection is either fully observed or fully invisible, decided by *)
 (* its hash. Dropping a whole subject can only hide a violation,      *)
 (* never invent one. Table-wide and violation events are never        *)
-(* sampled: they reset or condemn state the kept subjects share.      *)
+(* sampled: they reset or condemn state the kept subjects share. The  *)
+(* mask and counters are atomics because native TCP engines sample    *)
+(* from several domains.                                              *)
 (* ------------------------------------------------------------------ *)
 
-let sim_sample_mask = ref 0
-let sim_seen = ref 0
-let sim_kept = ref 0
+let sample_mask = Atomic.make 0
+let seen = Atomic.make 0
+let kept = Atomic.make 0
 
 let pow2_mask sample =
   let sample = max 1 sample in
   let rec pow2 p = if p >= sample then p else pow2 (p * 2) in
   pow2 1 - 1
 
-let set_sim_sample sample =
-  sim_sample_mask := pow2_mask sample;
-  sim_seen := 0;
-  sim_kept := 0
+let set_sample sample =
+  Atomic.set sample_mask (pow2_mask sample);
+  Atomic.set seen 0;
+  Atomic.set kept 0
 
-let sim_sample () = !sim_sample_mask + 1
-let sim_sample_counts () = (!sim_seen, !sim_kept)
+let sample () = Atomic.get sample_mask + 1
+let sample_counts () = (Atomic.get seen, Atomic.get kept)
 
 (* The subject hash, or [None] for events that must always be
    delivered: ownership declarations and wholesale resets
@@ -94,7 +122,9 @@ let sim_sample_counts () = (!sim_seen, !sim_kept)
    already-detected violations (sampling out a detection would be
    absurd). Request/confirm events key on the id alone so the submit,
    the wire messages and the confirm of one conversation stand or
-   fall together even across db/chan instances. *)
+   fall together even across db/chan instances; TCP events key on the
+   local-oriented 4-tuple, stable across the connection's lifetime and
+   both directions. *)
 let subject_hash = function
   | Pool_own _ | Pool_grant _ | Pool_free_all _ | Req_reset _
   | Pool_double_free _ | Pool_stale _ ->
@@ -110,25 +140,36 @@ let subject_hash = function
   | Req_submit { id; _ } | Req_confirm { id; _ } | Req_abort { id; _ }
   | Msg_req { id; _ } | Msg_conf { id; _ } ->
       Some (Hashtbl.hash id)
+  | T_state_change { lip; lport; rip; rport; _ }
+  | T_seg_tx { lip; lport; rip; rport; _ }
+  | T_seg_rx { lip; lport; rip; rport; _ } ->
+      Some (Hashtbl.hash (lip, lport, rip, rport))
+
+let keep ev =
+  let mask = Atomic.get sample_mask in
+  mask = 0
+  ||
+  match subject_hash ev with
+  | None -> true
+  | Some h ->
+      Atomic.incr seen;
+      let k = h land mask = 0 in
+      if k then Atomic.incr kept;
+      k
 
 let emit ev =
-  match !chain with
-  | [] -> ()
-  | listeners ->
-      let keep =
-        if !sim_sample_mask = 0 then true
-        else
-          match subject_hash ev with
-          | None -> true
-          | Some h ->
-              incr sim_seen;
-              if h land !sim_sample_mask = 0 then begin
-                incr sim_kept;
-                true
-              end
-              else false
-      in
-      if keep then List.iter (fun (_, f) -> f ~actor:!current ev) listeners
+  let native =
+    match ev with
+    | T_state_change _ | T_seg_tx _ | T_seg_rx _ -> Atomic.get tcp_native
+    | _ -> None
+  in
+  match (!chain, native) with
+  | [], None -> ()
+  | listeners, native ->
+      if keep ev then begin
+        List.iter (fun (_, f) -> f ~actor:!current ev) listeners;
+        match native with Some f -> f ev | None -> ()
+      end
 
 let actor () = !current
 let epoch () = !current_epoch
@@ -209,119 +250,3 @@ let native_access kind ~id ~sub ~write =
 
 let native_access_counts () =
   (Atomic.get native_seen, Atomic.get native_kept)
-
-(* ------------------------------------------------------------------ *)
-(* TCP event family.                                                  *)
-(*                                                                    *)
-(* The FSM conformance checker (Newt_verify.Tcpfsm) needs to see      *)
-(* every PCB state transition and every segment a TCP engine sends or *)
-(* receives, in both worlds: the single-threaded simulator (fig4/5,   *)
-(* sharded stack, churn) and the native runtime where the TCP server  *)
-(* and the peer host live on different domains. Events carry only     *)
-(* integers (no Newt_net types — this library sits below the net      *)
-(* layer) and are always local-oriented: [lip]/[lport] name the       *)
-(* emitting engine's end of the connection regardless of direction,   *)
-(* so a checker can key its shadow PCB table uniformly.               *)
-(* ------------------------------------------------------------------ *)
-
-type tcp_flags = { syn : bool; ack : bool; fin : bool; rst : bool; data : bool }
-
-type tcp_cause =
-  | T_api
-  | T_timer
-  | T_crash
-  | T_rx of tcp_flags
-  | T_tx of tcp_flags
-
-type tcp_event =
-  | T_state_change of {
-      lip : int32;
-      lport : int;
-      rip : int32;
-      rport : int;
-      from_s : int;
-      to_s : int;
-      cause : tcp_cause;
-    }
-  | T_seg_tx of {
-      lip : int32;
-      lport : int;
-      rip : int32;
-      rport : int;
-      flags : tcp_flags;
-    }
-  | T_seg_rx of {
-      lip : int32;
-      lport : int;
-      rip : int32;
-      rport : int;
-      flags : tcp_flags;
-    }
-
-(* Sim listeners are a chain like the main family; the native side is
-   one listener in an Atomic. [tcp_emit] feeds both — a sim engine
-   only ever sees the chain populated, a native engine only the
-   Atomic, so the benign cross-domain read of the (empty) chain ref
-   costs nothing and races with nobody. *)
-let tcp_chain : (token * (tcp_event -> unit)) list ref = ref []
-
-let tcp_add f =
-  incr next_token;
-  let tok = !next_token in
-  tcp_chain := (tok, f) :: !tcp_chain;
-  tok
-
-let tcp_remove tok = tcp_chain := List.filter (fun (t, _) -> t <> tok) !tcp_chain
-
-let tcp_native : (tcp_event -> unit) option Atomic.t = Atomic.make None
-let set_tcp_native f = Atomic.set tcp_native (Some f)
-let clear_tcp_native () = Atomic.set tcp_native None
-let tcp_enabled () = !tcp_chain <> [] || Atomic.get tcp_native <> None
-
-(* Sampling is per {e connection}, not per event: the checker's shadow
-   state machine for a 4-tuple is only sound if it sees either the
-   whole segment/transition stream of that connection or none of it.
-   The keep decision hashes the 4-tuple, so it is stable across the
-   connection's lifetime and across both directions. *)
-let tcp_sample_mask = Atomic.make 0
-let tcp_seen = Atomic.make 0
-let tcp_kept = Atomic.make 0
-
-let set_tcp_sample sample =
-  Atomic.set tcp_sample_mask (pow2_mask sample);
-  Atomic.set tcp_seen 0;
-  Atomic.set tcp_kept 0
-
-let tcp_sample () = Atomic.get tcp_sample_mask + 1
-
-let tcp_conn_hash ev =
-  let lip, lport, rip, rport =
-    match ev with
-    | T_state_change { lip; lport; rip; rport; _ }
-    | T_seg_tx { lip; lport; rip; rport; _ }
-    | T_seg_rx { lip; lport; rip; rport; _ } ->
-        (lip, lport, rip, rport)
-  in
-  Hashtbl.hash (lip, lport, rip, rport)
-
-let tcp_emit ev =
-  let deliver =
-    let mask = Atomic.get tcp_sample_mask in
-    if mask = 0 then true
-    else begin
-      ignore (Atomic.fetch_and_add tcp_seen 1);
-      if tcp_conn_hash ev land mask = 0 then begin
-        Atomic.incr tcp_kept;
-        true
-      end
-      else false
-    end
-  in
-  if deliver then begin
-    (match !tcp_chain with
-    | [] -> ()
-    | listeners -> List.iter (fun (_, f) -> f ev) listeners);
-    match Atomic.get tcp_native with None -> () | Some f -> f ev
-  end
-
-let tcp_sample_counts () = (Atomic.get tcp_seen, Atomic.get tcp_kept)

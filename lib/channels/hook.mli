@@ -1,27 +1,29 @@
-(** Verification event hook.
+(** Verification event stream.
 
     The dependability argument of the paper rests on an ownership
     discipline the types alone cannot enforce: pool slots are
     owner-written and consumer-read-only, hand-offs ride the channels,
     and every slot is reclaimed exactly once — also across crashes,
-    where reincarnation reclaims wholesale (Sections V-C/V-D). This
-    module is the instrumentation point that makes the discipline
-    observable: {!Pool}, {!Request_db} and the server runtime above
-    emit lifecycle events through a process-wide hook, and checkers
-    such as [Newt_verify.Sanitizer] (slot state machine) and
-    [Newt_verify.Protocol] (per-message-id request/confirm pairing)
-    register listeners to replay them and flag violations with the
-    culprit's identity.
+    where reincarnation reclaims wholesale (Sections V-C/V-D) — while
+    the TCP engines keep a legal RFC-793 state machine through those
+    crashes (Table I). This module is the one instrumentation point
+    that makes both observable: {!Pool}, {!Request_db}, the server
+    runtime and the TCP engines emit onto one typed {!event} stream,
+    and checkers such as [Newt_verify.Sanitizer] (slot state machine),
+    [Newt_verify.Protocol] (per-message-id request/confirm pairing) and
+    [Newt_verify.Tcpfsm] (TCP conformance) subscribe to replay it and
+    flag violations with the culprit's identity.
 
-    When no listener is registered every emission is a cheap no-op, so
+    When nobody subscribes every emission is a cheap no-op, so
     production runs pay (almost) nothing.
 
-    {b Listener chain.} Several checkers run simultaneously, so the
-    hook keeps a chain of listeners: {!add} registers one and returns a
-    token, {!remove} unregisters it. Every registered listener sees
-    every event, in unspecified relative order. The old one-slot
-    {!install}/{!uninstall} pair remains as a deprecated facade over a
-    single legacy chain entry.
+    {b Subscribers.} Several checkers run simultaneously, so the
+    stream keeps a chain of listeners: {!add} registers one and returns
+    a token, {!remove} unregisters it. Every listener sees every event,
+    in unspecified relative order, and ignores the ones it does not
+    judge. The chain is single-threaded simulator state; the native
+    runtime's TCP engines feed one thread-safe slot instead
+    ({!set_tcp_native}).
 
     {b Actors.} Attribution needs to know {e who} performed an
     operation. The server runtime brackets all work it runs on behalf
@@ -35,6 +37,20 @@ type way = [ `Sent | `Received | `Dropped ]
 (** The fate of a protocol message at the emission point: enqueued on
     the channel, dequeued by the consumer, or discarded undelivered
     (refused enqueue or channel teardown). *)
+
+type tcp_flags = { syn : bool; ack : bool; fin : bool; rst : bool; data : bool }
+(** Header flags of a segment; [data] is payload-length > 0. *)
+
+(** Why a state transition happened: an API call (connect/close/abort),
+    a timer (retransmission exhaustion, 2MSL expiry), a crash
+    (wholesale [shutdown_all] — the paper's Table I semantics), or a
+    segment received/sent with the given flags. *)
+type tcp_cause =
+  | T_api
+  | T_timer
+  | T_crash
+  | T_rx of tcp_flags
+  | T_tx of tcp_flags
 
 type event =
   | Pool_own of { pool : int; owner : string }
@@ -85,6 +101,40 @@ type event =
   | Msg_conf of { chan : int; id : int; way : way }
       (** A confirm-bearing message for request [id] was sent, received
           or dropped. Batched confirms emit one event per id. *)
+  | T_state_change of {
+      lip : int32;
+      lport : int;
+      rip : int32;
+      rport : int;
+      from_s : int;
+      to_s : int;
+      cause : tcp_cause;
+    }
+      (** A TCP PCB moved from state code [from_s] to [to_s]. Emitted
+          before the assignment takes effect. The TCP events carry only
+          integers — this library sits below [Newt_net], so states
+          travel as codes ([Newt_net.Tcp.state_code]) and addresses as
+          raw [int32]s — and are {e local-oriented}: [lip]/[lport] is
+          the emitting engine's own end of the connection in both
+          directions, so a checker keys its shadow PCB table
+          uniformly. *)
+  | T_seg_tx of {
+      lip : int32;
+      lport : int;
+      rip : int32;
+      rport : int;
+      flags : tcp_flags;
+    }
+      (** The engine emitted a segment on connection
+          [(lip,lport,rip,rport)] (local end first). *)
+  | T_seg_rx of {
+      lip : int32;
+      lport : int;
+      rip : int32;
+      rport : int;
+      flags : tcp_flags;
+    }
+      (** The engine accepted a segment for demultiplexing. *)
 
 type listener = actor:string option -> event -> unit
 
@@ -98,45 +148,49 @@ val add : listener -> token
 val remove : token -> unit
 (** Unregister; unknown or already-removed tokens are a no-op. *)
 
-val install : listener -> unit
-(** Deprecated one-slot facade: (re)binds a single legacy chain slot.
-    Kept so existing single-checker call sites work unchanged; new code
-    should use {!add}/{!remove}. *)
-
-val uninstall : unit -> unit
-(** Remove the legacy slot listener bound by {!install}, if any.
-    Listeners registered with {!add} are unaffected. *)
-
-val enabled : unit -> bool
-(** Whether any listener is registered — use to skip costly event
-    construction. *)
+val enabled : ?tcp:bool -> unit -> bool
+(** Whether an emission would reach anybody — use to skip costly event
+    construction. True while the chain has a listener; with
+    [~tcp:true] (the TCP engines' guard) also while the native TCP
+    slot is armed. The native slot never turns the pool/request side
+    on, so a native run with only the TCP checker armed emits no pool
+    events and opens no {!with_actor} brackets on its domains. *)
 
 val emit : event -> unit
-(** Deliver an event (with the current actor) to every registered
-    listener. Subject to simulator-side sampling (see
-    {!set_sim_sample}): when a sampling period is set, events whose
-    subject's hash misses the mask are dropped before delivery. *)
+(** Deliver an event (with the current actor) to every listener on the
+    chain and, for the TCP events, to the native TCP slot. Subject to
+    sampling (see {!set_sample}): events whose subject's hash misses
+    the mask are dropped before delivery. *)
 
-val set_sim_sample : int -> unit
-(** Sample the simulator event chain by {e subject}: keep one in
-    [sample] subjects (rounded up to a power of two; 1 = keep all),
-    where a subject is a pool slot for the pool/channel lifecycle
-    events and a request id for the request/confirm family. A kept
-    subject's events are all delivered, a dropped subject's none — so
-    the sanitizer's slot state machines and the protocol checker's
-    per-id conversations stay coherent under sampling; dropping a
-    subject can hide a violation but never invent one. Clock-critical
-    events (pool ownership/grant, wholesale frees, database resets)
-    and already-detected violations are never sampled out. Resets the
+val set_tcp_native : (event -> unit) -> unit
+(** Arm the (single) native TCP subscriber: it receives the TCP events
+    of {!emit} on whichever domain emits them, so it must be
+    thread-safe. *)
+
+val clear_tcp_native : unit -> unit
+(** Disarm the native TCP subscriber. *)
+
+val set_sample : int -> unit
+(** Sample the stream by {e subject}: keep one in [sample] subjects
+    (rounded up to a power of two; 1 = keep all), where a subject is a
+    pool slot for the pool/channel lifecycle events, a request id for
+    the request/confirm family and a connection 4-tuple for the TCP
+    events. A kept subject's events are all delivered, a dropped
+    subject's none — so the sanitizer's slot state machines, the
+    protocol checker's per-id conversations and the TCP checker's
+    shadow PCBs stay coherent under sampling; dropping a subject can
+    hide a violation but never invent one. Clock-critical events (pool
+    ownership/grant, wholesale frees, database resets) and
+    already-detected violations are never sampled out. Resets the
     sampling counters. *)
 
-val sim_sample : unit -> int
-(** The effective (power-of-two) simulator sampling period. *)
+val sample : unit -> int
+(** The effective (power-of-two) sampling period. *)
 
-val sim_sample_counts : unit -> int * int
-(** [(seen, kept)] sampleable emissions since {!set_sim_sample} —
-    events bypassing sampling (no listener, clock-critical) are not
-    counted. *)
+val sample_counts : unit -> int * int
+(** [(seen, kept)] sampleable emissions since {!set_sample}, counted
+    only while a period > 1 is in force; emissions nobody subscribes
+    to and clock-critical events are not counted. *)
 
 val actor : unit -> string option
 (** The identity currently being charged, if inside {!with_actor}. *)
@@ -158,12 +212,14 @@ val with_actor : ?epoch:int -> string -> (unit -> 'a) -> 'a
 
     The listener chain above is single-threaded simulator state and
     must never be touched from a spawned domain. The native family is
-    the thread-safe counterpart used by the real runtime: one listener
-    held in an [Atomic], events carrying only integers (the emitting
-    domain identifies itself with [Domain.self] inside the listener),
-    and a sampled access path with a stated cost model so the
-    happens-before race detector ([Newt_verify.Race]) can stay armed
-    on long runs. *)
+    the thread-safe counterpart the race detector ([Newt_verify.Race])
+    rides: one listener held in an [Atomic], events carrying only
+    integers (the emitting domain identifies itself with [Domain.self]
+    inside the listener), and an access path sampled by {e count}, with
+    a stated cost model. It stays separate from {!event} because it
+    sits on the hottest native paths (every ring push and pop, every
+    sampled slot access), where a per-subject hash and a chain walk
+    would cost more than the detector's own work. *)
 
 type nkind = N_pool_slot | N_counter
 (** What a sampled {!N_access} touched: a pool slot ([id] = pool,
@@ -238,99 +294,3 @@ val native_access : nkind -> id:int -> sub:int -> write:bool -> unit
 val native_access_counts : unit -> int * int
 (** [(seen, kept)] access emissions since the hook was last armed —
     the overhead accounting the bench and campaign JSON report. *)
-
-(** {1 TCP event family}
-
-    The feed for the TCP state-machine conformance checker
-    ([Newt_verify.Tcpfsm]). TCP engines mirror every PCB state
-    transition and every segment sent/received through these events.
-    They carry only integers — this library sits below [Newt_net], so
-    states travel as codes ([Newt_net.Tcp.state_code]) and addresses
-    as raw [int32]s — and are always {e local-oriented}: [lip]/[lport]
-    is the emitting engine's own end of the connection for both
-    directions, so a checker keys its shadow PCB table uniformly.
-
-    Like the families above, the sim side is a listener chain
-    (single-threaded) and the native side one listener in an
-    [Atomic]; {!tcp_emit} feeds both. *)
-
-type tcp_flags = { syn : bool; ack : bool; fin : bool; rst : bool; data : bool }
-(** Header flags of a segment; [data] is payload-length > 0. *)
-
-(** Why a state transition happened: an API call (connect/close/abort),
-    a timer (retransmission exhaustion, 2MSL expiry), a crash
-    (wholesale [shutdown_all] — the paper's Table I semantics), or a
-    segment received/sent with the given flags. *)
-type tcp_cause =
-  | T_api
-  | T_timer
-  | T_crash
-  | T_rx of tcp_flags
-  | T_tx of tcp_flags
-
-type tcp_event =
-  | T_state_change of {
-      lip : int32;
-      lport : int;
-      rip : int32;
-      rport : int;
-      from_s : int;
-      to_s : int;
-      cause : tcp_cause;
-    }
-      (** A PCB moved from state code [from_s] to [to_s]. Emitted
-          before the assignment takes effect. *)
-  | T_seg_tx of {
-      lip : int32;
-      lport : int;
-      rip : int32;
-      rport : int;
-      flags : tcp_flags;
-    }
-      (** The engine emitted a segment on connection
-          [(lip,lport,rip,rport)] (local end first). *)
-  | T_seg_rx of {
-      lip : int32;
-      lport : int;
-      rip : int32;
-      rport : int;
-      flags : tcp_flags;
-    }
-      (** The engine accepted a segment for demultiplexing. *)
-
-val tcp_add : (tcp_event -> unit) -> token
-(** Register a simulator-side TCP listener; returns a token for
-    {!tcp_remove}. *)
-
-val tcp_remove : token -> unit
-(** Unregister a simulator-side TCP listener. *)
-
-val set_tcp_native : (tcp_event -> unit) -> unit
-(** Arm the (single) native TCP listener. The listener runs on
-    whichever domain emits — it must be thread-safe. *)
-
-val clear_tcp_native : unit -> unit
-(** Disarm the native TCP listener. *)
-
-val tcp_enabled : unit -> bool
-(** Whether any TCP listener (sim or native) is armed — engines use
-    this to skip event construction entirely on the fast path. *)
-
-val set_tcp_sample : int -> unit
-(** Sample TCP events by {e connection}: keep one in [sample] 4-tuples
-    (rounded up to a power of two; 1 = keep all). A kept connection
-    delivers its entire transition/segment stream; a dropped one
-    nothing — the shadow state machine for any observed connection
-    stays complete, so sampling hides violations on unobserved
-    connections but never fabricates one. Resets the counters. *)
-
-val tcp_sample : unit -> int
-(** The effective (power-of-two) TCP sampling period. *)
-
-val tcp_emit : tcp_event -> unit
-(** Deliver a TCP event to the sim chain and the native listener,
-    subject to per-connection sampling. *)
-
-val tcp_sample_counts : unit -> int * int
-(** [(seen, kept)] TCP emissions since {!set_tcp_sample}; only counted
-    while a sampling period > 1 is in force. *)

@@ -10,6 +10,7 @@ module Capacity = Newt_stack.Capacity
 module Fault_inject = Newt_reliability.Fault_inject
 module Apps = Newt_sockets.Apps
 module Static = Newt_verify.Static
+module Checker = Newt_verify.Checker
 module Continuous = Newt_verify.Continuous
 module Sanitizer = Newt_verify.Sanitizer
 module Protocol = Newt_verify.Protocol
@@ -788,31 +789,21 @@ let verify_all ?max_shards () =
 (* {1 Sanitized fault run — the ownership sanitizer across a crash} *)
 
 let sanitized_ip_crash ?seed ?crash_at ?duration () =
-  Newt_verify.Sanitizer.install ();
-  Fun.protect
-    ~finally:(fun () -> Newt_verify.Sanitizer.uninstall ())
-    (fun () ->
-      let trace = figure_ip_crash ?seed ?crash_at ?duration () in
-      let report =
-        Newt_verify.Sanitizer.report ~title:"sanitized IP-crash run" ()
-      in
-      (report, trace))
+  let trace =
+    Checker.with_checkers [ (module Sanitizer) ] (fun () ->
+        figure_ip_crash ?seed ?crash_at ?duration ())
+  in
+  (Sanitizer.report ~title:"sanitized IP-crash run" (), trace)
 
 (* {1 Protocol-checked fault runs — the dynamic request/confirm
    contract across crashes} *)
 
 let protocol_crash_run ~title run =
-  Protocol.install ();
-  Fun.protect
-    ~finally:(fun () -> Protocol.uninstall ())
-    (fun () ->
-      let trace = run () in
-      (* Both figure runs stop their traffic a second before the end
-         and run past it, so the tail is drained: still-open
-         obligations are genuine violations, not in-flight work. *)
-      Protocol.finish ~drained:true ();
-      let report = Protocol.report ~title () in
-      (report, trace))
+  let trace = Checker.with_checkers [ (module Protocol) ] run in
+  (* Both figure runs stop their traffic a second before the end and
+     run past it, so the tail is drained: still-open obligations are
+     genuine violations, not in-flight work. *)
+  (Protocol.report ~drained:true ~title (), trace)
 
 let protocol_ip_crash ?seed ?crash_at ?duration () =
   protocol_crash_run ~title:"protocol-checked IP-crash run" (fun () ->
@@ -896,20 +887,9 @@ let judge ~(case : Mcheck.case) ~alive ~armed_left ~check_leaks v =
     trace = (if converged then [] else trace);
   }
 
-let with_checkers f =
-  Protocol.install ();
-  Sanitizer.install ();
-  Fun.protect
-    ~finally:(fun () ->
-      Sanitizer.uninstall ();
-      Protocol.uninstall ();
-      Sanitizer.reset ();
-      Protocol.reset ())
-    f
-
 let mcheck_split ?budget ?(seed = 42) ?break_recovery () =
   let cases = Mcheck.enumerate (split_crash_points ()) in
-  with_checkers (fun () ->
+  Checker.with_checkers [ (module Protocol); (module Sanitizer) ] (fun () ->
       let run (case : Mcheck.case) =
         let target =
           match host_component_of_name case.Mcheck.component with
@@ -1008,7 +988,7 @@ let mcheck_sharded ?budget ?(shards = 2) ?(ip_replicas = 2) ?(pf_shards = 2)
       @ labelled (S.ip_components probe)
       @ labelled (S.pf_components probe))
   in
-  with_checkers (fun () ->
+  Checker.with_checkers [ (module Protocol); (module Sanitizer) ] (fun () ->
       let run (case : Mcheck.case) =
         let s = S.create ~config () in
         Option.iter (fun (c, k) -> sabotage_sharded s c k) break_recovery;

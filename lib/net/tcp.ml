@@ -220,10 +220,10 @@ let key_of pcb : conn_key =
 (* {2 Conformance-event mirroring}
 
    Every state transition and every segment crossing the engine is
-   mirrored to the [Hook] TCP family so the FSM conformance checker
+   mirrored onto the [Hook] event stream so the FSM conformance checker
    ([Newt_verify.Tcpfsm]) can replay them against its rule table. All
-   emissions are guarded by [Hook.tcp_enabled] so an unarmed run pays
-   one branch per site. Events are local-oriented: [lip]/[lport] is
+   emissions are guarded by [Hook.enabled ~tcp:true] so an unarmed run
+   pays one branch per site. Events are local-oriented: [lip]/[lport] is
    always this engine's end. *)
 
 module Hook = Newt_channels.Hook
@@ -241,8 +241,8 @@ let hook_flags (f : Tcp_wire.flags) ~payload_len =
    report the implicit Closed origin of a fresh PCB. Emitted before
    the state field is assigned. *)
 let hook_transition pcb ~from_ ~to_ cause =
-  if from_ <> to_ && Hook.tcp_enabled () then
-    Hook.tcp_emit
+  if from_ <> to_ && Hook.enabled ~tcp:true () then
+    Hook.emit
       (Hook.T_state_change
          {
            lip = Addr.Ipv4.to_int32 pcb.local_ip;
@@ -259,9 +259,9 @@ let set_state pcb cause to_ =
   pcb.state <- to_
 
 let hook_seg ~tx ~lip ~lport ~rip ~rport flags =
-  if Hook.tcp_enabled () then begin
+  if Hook.enabled ~tcp:true () then begin
     let lip = Addr.Ipv4.to_int32 lip and rip = Addr.Ipv4.to_int32 rip in
-    Hook.tcp_emit
+    Hook.emit
       (if tx then Hook.T_seg_tx { lip; lport; rip; rport; flags }
        else Hook.T_seg_rx { lip; lport; rip; rport; flags })
   end

@@ -204,7 +204,7 @@ val connection_count : t -> int
 val shutdown_all : t -> unit
 (** Drop every connection and listener without emitting anything — the
     moment of a TCP server crash. Each dropped PCB reports a
-    crash-caused transition to Closed through the hook family, so the
+    crash-caused transition to Closed on the hook event stream, so the
     conformance checker's shadow table follows Table I semantics. *)
 
 (** {1 Conformance sabotage}

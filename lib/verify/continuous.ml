@@ -2,7 +2,7 @@
    graph (one per reincarnation) with the sanitizer's dynamic verdict,
    per experiment run and across a whole campaign. *)
 
-type counters = {
+type counters = Checker.counters = {
   re_checks : int;
   static_violations : int;
   sanitizer_violations : int;
@@ -93,78 +93,34 @@ let recheck t mk =
     t.viols <- t.viols @ r.Report.violations
   end
 
+(* Every stream checker; [end_run] folds in the ones armed. *)
+let checkers : (module Checker.S) list =
+  [ (module Sanitizer); (module Protocol); (module Tcpfsm) ]
+
 let end_run ?(check_leaks = false) t =
+  let armed = List.filter (fun (module C : Checker.S) -> C.active ()) checkers in
+  (* A leak-checked run is a drained run: the same quiescence that
+     makes outstanding slots leaks makes open request obligations
+     violations. *)
   let c =
-    if Sanitizer.active () then begin
-      let vs = Sanitizer.violations () in
-      let leaks = if check_leaks then Sanitizer.leaks () else [] in
-      t.viols <-
-        t.viols
-        @ List.map Sanitizer.describe vs
-        @ List.map Sanitizer.describe_leak leaks;
-      {
-        zero with
-        re_checks = t.cur_re_checks;
-        static_violations = t.cur_static_violations;
-        sanitizer_violations = List.length vs;
-        leaks = List.length leaks;
-        stale_derefs = Sanitizer.stale_count ();
-        allocs = Sanitizer.alloc_count ();
-        frees = Sanitizer.free_count ();
-        handoffs = Sanitizer.handoff_count ();
-        hook_events = Sanitizer.event_count ();
-        hook_overhead_cycles = Sanitizer.overhead_cycles ();
-      }
-    end
-    else
+    List.fold_left
+      (fun c (module C : Checker.S) ->
+        let r = C.report ~drained:check_leaks () in
+        t.viols <- t.viols @ r.Report.violations;
+        C.counters r c)
       {
         zero with
         re_checks = t.cur_re_checks;
         static_violations = t.cur_static_violations;
       }
-  in
-  let c =
-    if Protocol.active () then begin
-      (* A leak-checked run is a drained run: the same quiescence that
-         makes outstanding slots leaks makes open request obligations
-         violations. *)
-      Protocol.finish ~drained:check_leaks ();
-      let pvs = Protocol.violations () in
-      t.viols <- t.viols @ pvs;
-      {
-        c with
-        protocol_violations = List.length pvs;
-        protocol_requests = Protocol.count "requests";
-        protocol_confirms = Protocol.count "confirms";
-        protocol_aborts = Protocol.count "aborts";
-        protocol_stale_confirms = Protocol.count "stale-confirms";
-        protocol_events = Protocol.event_count ();
-      }
-    end
-    else c
-  in
-  let c =
-    if Tcpfsm.active () then begin
-      let fvs = Tcpfsm.violations () in
-      t.viols <- t.viols @ fvs;
-      {
-        c with
-        tcpfsm_violations = List.length fvs;
-        tcpfsm_segments = Tcpfsm.segment_count ();
-        tcpfsm_transitions = Tcpfsm.transition_count ();
-        tcpfsm_overhead_cycles = Tcpfsm.overhead_cycles ();
-      }
-    end
-    else c
+      armed
   in
   t.runs <- t.runs @ [ c ];
   t.cur_re_checks <- 0;
   t.cur_static_violations <- 0;
   (* The next run starts with fresh shadow state; the listeners stay
      installed so they capture the new world's pool announcements. *)
-  if Sanitizer.active () then Sanitizer.reset ();
-  if Protocol.active () then Protocol.reset ();
-  if Tcpfsm.active () then Tcpfsm.reset ()
+  List.iter (fun (module C : Checker.S) -> C.reset ()) armed
 
 let runs t = t.runs
 

@@ -15,35 +15,29 @@
     whole, surfaced in the CLI/bench JSON so hook-cost regressions are
     visible. *)
 
-(** Per-run (and aggregate) verifier/sanitizer counters. *)
-type counters = {
-  re_checks : int;  (** Static re-checks performed (one per restart). *)
+type counters = Checker.counters = {
+  re_checks : int;
   static_violations : int;
   sanitizer_violations : int;
-  leaks : int;  (** Slots still allocated once the run quiesced. *)
+  leaks : int;
   stale_derefs : int;
   allocs : int;
   frees : int;
   handoffs : int;
   hook_events : int;
   hook_overhead_cycles : int;
-      (** {!Sanitizer.overhead_cycles} — instrumentation cost in model
-          cycles (accounting only, never charged to simulated cores). *)
   protocol_violations : int;
-      (** Dynamic request/confirm contract breaches ({!Protocol}). *)
-  protocol_requests : int;  (** Request obligations opened. *)
-  protocol_confirms : int;  (** Obligations met by a confirm. *)
-  protocol_aborts : int;  (** Obligations discharged by an abort sweep. *)
+  protocol_requests : int;
+  protocol_confirms : int;
+  protocol_aborts : int;
   protocol_stale_confirms : int;
-      (** Confirms for crash-closed conversations, absorbed by design. *)
-  protocol_events : int;  (** Protocol hook events replayed. *)
+  protocol_events : int;
   tcpfsm_violations : int;
-      (** TCP FSM conformance breaches ({!Tcpfsm}): illegal
-          transitions, wrong-state segments, conntrack drift. *)
-  tcpfsm_segments : int;  (** Segments judged by the rule table. *)
-  tcpfsm_transitions : int;  (** State transitions judged. *)
-  tcpfsm_overhead_cycles : int;  (** {!Tcpfsm.overhead_cycles}. *)
+  tcpfsm_segments : int;
+  tcpfsm_transitions : int;
+  tcpfsm_overhead_cycles : int;
 }
+(** Per-run (and aggregate) verifier counters; see {!Checker.counters}. *)
 
 val zero : counters
 val add : counters -> counters -> counters
@@ -59,17 +53,15 @@ val recheck : t -> (unit -> Report.t) -> unit
     reincarnation server's post-restart notification. *)
 
 val end_run : ?check_leaks:bool -> t -> unit
-(** Close the run in progress: absorb the sanitizer's violations (and,
-    with [check_leaks], its outstanding slots as leaks — only
-    meaningful once the run drained its in-flight buffers), absorb the
-    protocol checker's verdict when it is active ([check_leaks] also
-    closes its trace via {!Protocol.finish}[ ~drained:true]: the same
-    quiescence that makes outstanding slots leaks makes open request
-    obligations violations), absorb the TCP FSM checker's verdict when
-    it is active ({!Tcpfsm}), append the run's counter block, and
-    reset every active checker's shadow state for the next run (the
-    listeners stay installed). With no checker active only the
-    static-recheck counters are recorded. *)
+(** Close the run in progress: fold in every armed stream checker
+    ({!Checker.S}) — its end-of-run verdict, drained when
+    [check_leaks] (only meaningful once the run drained its in-flight
+    buffers: the sanitizer's outstanding slots become leaks, the
+    protocol checker's open request obligations violations), and its
+    counters — append the run's counter block, and reset every armed
+    checker's shadow state for the next run (the listeners stay
+    installed). With no checker armed only the static-recheck counters
+    are recorded. *)
 
 val runs : t -> counters list
 (** Counter blocks of completed runs, oldest first. *)

@@ -87,14 +87,7 @@ let verdict_json v =
   Printf.sprintf
     "{\"component\":\"%s\",\"step\":\"%s\",\"converged\":%b,\"violations\":[%s],\"trace\":[%s]}"
     (e v.case.component) (e v.case.step) v.converged
-    (String.concat ","
-       (List.map
-          (fun (viol : Report.violation) ->
-            Printf.sprintf
-              "{\"check\":\"%s\",\"subject\":\"%s\",\"culprit\":\"%s\",\"detail\":\"%s\"}"
-              (e viol.Report.check) (e viol.Report.subject)
-              (e viol.Report.culprit) (e viol.Report.detail))
-          v.violations))
+    (String.concat "," (List.map Report.violation_json v.violations))
     (String.concat "," (List.map (fun l -> "\"" ^ e l ^ "\"") v.trace))
 
 let to_json ~title o =

@@ -395,7 +395,11 @@ let index_db ~db id =
       Hashtbl.add by_db db ids
 
 let on_event ~actor ev =
-  retire_due ();
+  (* TCP events belong to Verify.Tcpfsm: they do not even run the
+     retirement clock. *)
+  (match ev with
+  | Hook.T_state_change _ | Hook.T_seg_tx _ | Hook.T_seg_rx _ -> ()
+  | _ -> retire_due ());
   match ev with
   | Hook.Req_submit { db; id; _ } ->
       incr events;
@@ -437,7 +441,8 @@ let on_event ~actor ev =
   | Hook.Pool_own _ | Hook.Pool_grant _ | Hook.Pool_alloc _ | Hook.Pool_write _
   | Hook.Pool_read _ | Hook.Pool_free _ | Hook.Pool_free_all _
   | Hook.Pool_double_free _ | Hook.Pool_stale _ | Hook.Chan_handoff _
-  | Hook.Chan_receive _ | Hook.Chan_dropped _ ->
+  | Hook.Chan_receive _ | Hook.Chan_dropped _ | Hook.T_state_change _
+  | Hook.T_seg_tx _ | Hook.T_seg_rx _ ->
       ()
 
 let install () =
@@ -447,11 +452,8 @@ let install () =
   end
 
 let uninstall () =
-  match !token with
-  | Some tok ->
-      Hook.remove tok;
-      token := None
-  | None -> ()
+  Option.iter Hook.remove !token;
+  token := None
 
 let active () = !token <> None
 let reset () = clear ()
@@ -480,7 +482,8 @@ let event_count () = !events
 let overhead_cycles () = !events * cycles_per_event
 let conversations () = Hashtbl.length convs
 
-let report ?(title = "dynamic channel protocol") () =
+let report ?(drained = false) ?(title = "channel-protocol checker") () =
+  finish ~drained ();
   {
     Report.title;
     checks =
@@ -497,4 +500,15 @@ let report ?(title = "dynamic channel protocol") () =
         ("retired", count "retired");
       ];
     violations = violations ();
+  }
+
+let counters (r : Report.t) (c : Checker.counters) =
+  {
+    c with
+    protocol_violations = List.length r.violations;
+    protocol_requests = count "requests";
+    protocol_confirms = count "confirms";
+    protocol_aborts = count "aborts";
+    protocol_stale_confirms = count "stale-confirms";
+    protocol_events = !events;
   }

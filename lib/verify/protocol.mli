@@ -34,8 +34,8 @@
     checker is this table specialized against the live event stream —
     new invariants are new rows, not new code.
 
-    The checker registers on the hook {e chain} ({!Hook.add}), so it
-    runs simultaneously with the {!Sanitizer}. *)
+    The checker subscribes to the one event stream ({!Hook.add}), so it
+    runs simultaneously with the {!Sanitizer} and {!Tcpfsm}. *)
 
 module Hook = Newt_channels.Hook
 
@@ -75,25 +75,18 @@ val describe_rules : unit -> string list
 
 (** {1 The runtime checker} *)
 
-val install : unit -> unit
-(** Clear state and register on the hook chain (no-op if already
-    registered). Other listeners — the sanitizer — are unaffected. *)
-
-val uninstall : unit -> unit
-(** Unregister from the hook chain. Collected state stays readable. *)
-
-val active : unit -> bool
-
-val reset : unit -> unit
-(** Drop all conversations, counters, violations and the trace ring;
-    the listener (if registered) stays registered. *)
+include Checker.S
+(** The stream-checker lifecycle. [report ~drained:true] first closes
+    the trace with {!finish}[ ~drained:true]; the default title is
+    ["channel-protocol checker"]. *)
 
 val finish : ?drained:bool -> unit -> unit
 (** Close the trace: with [~drained:true] (a quiesced run — every
     channel empty), flag still-pending conversations as
     ["unresolved-request"] and unbalanced flight counters as
     ["undelivered-handoff"]. Without it, only what already violated is
-    reported — mid-run there is always legitimate in-flight work. *)
+    reported — mid-run there is always legitimate in-flight work. Not
+    idempotent: each drained call flags the open obligations again. *)
 
 val violations : unit -> Report.violation list
 
@@ -127,5 +120,3 @@ val trace : unit -> string list
 (** The most recent protocol events (bounded ring), rendered oldest
     first — the counterexample trace the model checker attaches to a
     non-converging crash point. *)
-
-val report : ?title:string -> unit -> Report.t

@@ -711,18 +711,20 @@ module Dynamic = struct
          o.locations o.sync_objects o.accesses_kept);
     (* The unified violations shape shared with Report.to_json. *)
     Buffer.add_string b ",\"violations\":[";
-    List.iteri
-      (fun i r ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"check\":\"%s\",\"subject\":\"%s\",\"culprit\":\"%s\",\"detail\":\"%s\"}"
-             (esc r.check) (esc r.loc)
-             (esc (Printf.sprintf "%s vs %s" r.first.who r.second.who))
-             (esc
-                (Printf.sprintf "%s (#%d) unordered with %s (#%d)" r.first.what
-                   r.first.seq r.second.what r.second.seq))))
-      o.races;
+    Buffer.add_string b
+      (String.concat ","
+         (List.map
+            (fun r ->
+              Report.violation_json
+                {
+                  Report.check = r.check;
+                  subject = r.loc;
+                  culprit = Printf.sprintf "%s vs %s" r.first.who r.second.who;
+                  detail =
+                    Printf.sprintf "%s (#%d) unordered with %s (#%d)"
+                      r.first.what r.first.seq r.second.what r.second.seq;
+                })
+            o.races));
     Buffer.add_string b "]";
     (* The mcheck-style counterexamples: full stacks + replayable trace. *)
     let access_json a =

@@ -74,6 +74,12 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+let violation_json v =
+  Printf.sprintf
+    "{\"check\":\"%s\",\"subject\":\"%s\",\"culprit\":\"%s\",\"detail\":\"%s\"}"
+    (json_escape v.check) (json_escape v.subject) (json_escape v.culprit)
+    (json_escape v.detail)
+
 let to_json t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
@@ -85,14 +91,6 @@ let to_json t =
       Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape name) n))
     t.checks;
   Buffer.add_string buf "},\"violations\":[";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"check\":\"%s\",\"subject\":\"%s\",\"culprit\":\"%s\",\"detail\":\"%s\"}"
-           (json_escape v.check) (json_escape v.subject) (json_escape v.culprit)
-           (json_escape v.detail)))
-    t.violations;
+  Buffer.add_string buf (String.concat "," (List.map violation_json t.violations));
   Buffer.add_string buf "]}";
   Buffer.contents buf

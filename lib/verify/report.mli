@@ -44,6 +44,10 @@ val to_json : t -> string
 (** Machine-readable verdict:
     [{"title":…,"ok":…,"checks":{…},"violations":[…]}]. *)
 
+val violation_json : violation -> string
+(** One violation as [{"check":…,"subject":…,"culprit":…,"detail":…}]:
+    the one shape every checker's machine-readable verdict uses. *)
+
 val json_escape : string -> string
 (** Escape a string for embedding in the hand-rolled JSON (also used
     by the model checker's counterexample traces). *)

@@ -47,7 +47,7 @@ let allocs = ref 0
 let frees = ref 0
 let handoffs = ref 0
 let events = ref 0
-let running = ref false
+let token : Hook.token option ref = ref None
 
 (* What one shadow update costs in model cycles had the hook run
    inline in the stack proper (a hash probe or two): the accounting
@@ -68,7 +68,9 @@ let clear () =
 let record v = viols := v :: !viols
 
 let on_event ~actor ev =
-  incr events;
+  (match ev with
+  | Hook.T_state_change _ | Hook.T_seg_tx _ | Hook.T_seg_rx _ -> ()
+  | _ -> incr events);
   match ev with
   | Hook.Pool_own { pool; owner } -> Hashtbl.replace owners pool owner
   | Hook.Pool_grant { pool } -> Hashtbl.replace granted pool ()
@@ -146,17 +148,21 @@ let on_event ~actor ev =
   | Hook.Msg_req _ | Hook.Msg_conf _ ->
       (* Protocol-level events belong to Verify.Protocol. *)
       ()
+  | Hook.T_state_change _ | Hook.T_seg_tx _ | Hook.T_seg_rx _ ->
+      (* TCP events belong to Verify.Tcpfsm; they are not counted. *)
+      ()
 
 let install () =
-  clear ();
-  running := true;
-  Hook.install on_event
+  if !token = None then begin
+    clear ();
+    token := Some (Hook.add on_event)
+  end
 
 let uninstall () =
-  running := false;
-  Hook.uninstall ()
+  Option.iter Hook.remove !token;
+  token := None
 
-let active () = !running
+let active () = !token <> None
 let reset () = clear ()
 let violations () = List.rev !viols
 let stale_count () = !stales
@@ -225,9 +231,9 @@ let describe_leak (l : leak) =
     detail = "slot still allocated at end of run";
   }
 
-let report ?(check_leaks = false) ~title () =
+let report ?(drained = false) ?(title = "pool-ownership sanitizer") () =
   let vs = List.map describe (violations ()) in
-  let vs = if check_leaks then vs @ List.map describe_leak (leaks ()) else vs in
+  let vs = if drained then vs @ List.map describe_leak (leaks ()) else vs in
   {
     Report.title;
     checks =
@@ -238,4 +244,20 @@ let report ?(check_leaks = false) ~title () =
         ("stale-derefs", !stales);
       ];
     violations = vs;
+  }
+
+let counters (r : Report.t) (c : Checker.counters) =
+  let leaks =
+    List.length (List.filter (fun v -> v.Report.check = "leak") r.violations)
+  in
+  {
+    c with
+    sanitizer_violations = List.length r.violations - leaks;
+    leaks;
+    stale_derefs = !stales;
+    allocs = !allocs;
+    frees = !frees;
+    handoffs = !handoffs;
+    hook_events = !events;
+    hook_overhead_cycles = overhead_cycles ();
   }

@@ -64,15 +64,10 @@ type leak = {
   holder : string option;  (** Who received it last. *)
 }
 
-val install : unit -> unit
-(** Install on the global hook (replacing any previous listener) and
-    reset all shadow state. *)
-
-val uninstall : unit -> unit
-val active : unit -> bool
-
-val reset : unit -> unit
-(** Clear shadow state and recorded violations, keep listening. *)
+include Checker.S
+(** The stream-checker lifecycle. [report ~drained:true] adds the
+    outstanding {!leaks} as ["leak"] violations; the default title is
+    ["pool-ownership sanitizer"]. *)
 
 val violations : unit -> violation list
 (** In occurrence order. *)
@@ -85,7 +80,8 @@ val free_count : unit -> int
 val handoff_count : unit -> int
 
 val event_count : unit -> int
-(** Total hook events replayed since install/reset. *)
+(** Pool, channel and request events replayed since install/reset; the
+    TCP events on the same stream are {!Tcpfsm}'s and not counted. *)
 
 val overhead_cycles : unit -> int
 (** Model-cycle cost of the hook instrumentation: {!event_count} times a
@@ -103,8 +99,3 @@ val pool_owner : int -> string option
 
 val describe : violation -> Report.violation
 val describe_leak : leak -> Report.violation
-
-val report : ?check_leaks:bool -> title:string -> unit -> Report.t
-(** Assemble a {!Report.t} from the recorded violations; with
-    [check_leaks] (default false) outstanding {!leaks} are added as
-    ["leak"] violations. *)

@@ -619,19 +619,27 @@ let cause_of_hook = function
   | Hook.T_rx f -> Rx_seg (classify f)
   | Hook.T_tx f -> Tx_seg (classify f)
 
-let on_event ev =
+let with_lock f =
   Mutex.lock lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock lock)
-    (fun () ->
-      match ev with
-      | Hook.T_seg_tx { lip; lport; rip; rport; flags } ->
-          on_seg (lip, lport, rip, rport) ~d:Tx flags
-      | Hook.T_seg_rx { lip; lport; rip; rport; flags } ->
-          on_seg (lip, lport, rip, rport) ~d:Rx flags
-      | Hook.T_state_change { lip; lport; rip; rport; from_s; to_s; cause } ->
-          on_transition (lip, lport, rip, rport) ~from_s ~to_s
-            ~cause:(cause_of_hook cause))
+  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+
+let judge = function
+  | Hook.T_seg_tx { lip; lport; rip; rport; flags } ->
+      on_seg (lip, lport, rip, rport) ~d:Tx flags
+  | Hook.T_seg_rx { lip; lport; rip; rport; flags } ->
+      on_seg (lip, lport, rip, rport) ~d:Rx flags
+  | Hook.T_state_change { lip; lport; rip; rport; from_s; to_s; cause } ->
+      on_transition (lip, lport, rip, rport) ~from_s ~to_s
+        ~cause:(cause_of_hook cause)
+  | _ -> ()
+
+(* The pool, channel and request events on the same stream are the
+   other checkers'; they are skipped before taking the lock. *)
+let on_event ev =
+  match ev with
+  | Hook.T_seg_tx _ | Hook.T_seg_rx _ | Hook.T_state_change _ ->
+      with_lock (fun () -> judge ev)
+  | _ -> ()
 
 let clear () =
   Hashtbl.reset shadow;
@@ -644,20 +652,16 @@ let clear () =
 let install () =
   if !sim_token = None then begin
     clear ();
-    sim_token := Some (Hook.tcp_add on_event)
+    sim_token := Some (Hook.add (fun ~actor:_ ev -> on_event ev))
   end
 
 let uninstall () =
-  match !sim_token with
-  | Some tok ->
-      Hook.tcp_remove tok;
-      sim_token := None
-  | None -> ()
+  Option.iter Hook.remove !sim_token;
+  sim_token := None
 
-let install_native ?(sample = 1) () =
+let install_native () =
   if not !native_armed then begin
     clear ();
-    Hook.set_tcp_sample sample;
     Hook.set_tcp_native on_event;
     native_armed := true
   end
@@ -665,16 +669,11 @@ let install_native ?(sample = 1) () =
 let uninstall_native () =
   if !native_armed then begin
     Hook.clear_tcp_native ();
-    Hook.set_tcp_sample 1;
     native_armed := false
   end
 
 let active () = !sim_token <> None || !native_armed
 let reset () = clear ()
-
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
 let violations () = with_lock (fun () -> List.rev !viols)
 let segment_count () = !seg_events
@@ -726,7 +725,7 @@ let crosscheck_conntrack ~where ct =
                 | Some _ | None -> ())
         (Newt_pf.Conntrack.export ct))
 
-let report ?(title = "tcp-fsm conformance") () =
+let report ?drained:_ ?(title = "tcp-fsm conformance checker") () =
   with_lock (fun () ->
       {
         Report.title;
@@ -739,33 +738,23 @@ let report ?(title = "tcp-fsm conformance") () =
         violations = List.rev !viols;
       })
 
+let counters (r : Report.t) (c : Checker.counters) =
+  {
+    c with
+    tcpfsm_violations = List.length r.violations;
+    tcpfsm_segments = !seg_events;
+    tcpfsm_transitions = !trans_events;
+    tcpfsm_overhead_cycles = overhead_cycles ();
+  }
+
 (* Mcheck-shaped machine-readable verdict: same fields the recovery
    model checker emits per crash point, so the CI greps
    ("trace":[...]) work across checkers. *)
 let verdict_json () =
   with_lock (fun () ->
-      let vs =
-        List.rev_map
-          (fun (v : Report.violation) ->
-            Printf.sprintf
-              {|{"check":"%s","subject":"%s","culprit":"%s","detail":"%s"}|}
-              (Report.json_escape v.Report.check)
-              (Report.json_escape v.Report.subject)
-              (Report.json_escape v.Report.culprit)
-              (Report.json_escape v.Report.detail))
-          !viols
-        |> List.rev
-      in
-      let trace_lines =
-        let n = min !ring_next ring_size in
-        let start = !ring_next - n in
-        List.filter_map
-          (fun i -> ring.((start + i) mod ring_size))
-          (List.init n Fun.id)
-        |> List.map (fun l -> "\"" ^ Report.json_escape l ^ "\"")
-      in
       Printf.sprintf
         {|{"component":"tcp-fsm","ok":%b,"segments":%d,"transitions":%d,"tracked":%d,"violations":[%s],"trace":[%s]}|}
         (!viols = []) !seg_events !trans_events (Hashtbl.length shadow)
-        (String.concat "," vs)
-        (String.concat "," trace_lines))
+        (String.concat "," (List.map Report.violation_json !viols))
+        (String.concat ","
+           (List.map (fun l -> "\"" ^ Report.json_escape l ^ "\"") (trace ()))))

@@ -16,8 +16,8 @@
       Table I crash edge. Closed→Established with no handshake — a
       restarted shard resurrecting stale PCBs — is the bug.
 
-    Events arrive through the [Newt_channels.Hook] TCP family, which
-    both the simulated engines and the native runtime's servers
+    Events arrive as the TCP events of the [Newt_channels.Hook] stream,
+    which both the simulated engines and the native runtime's servers
     mirror, so the same checker rides fig4/fig5, the sharded stack,
     the churn workload and real multi-domain runs ({!install_native}
     takes a mutex per event; per-connection sampling keeps long runs
@@ -61,24 +61,20 @@ val lint_dropping : int -> Report.t
 
 (** {1 The runtime checker} *)
 
-val install : unit -> unit
-(** Arm on the simulator's TCP hook chain (idempotent); clears all
-    checker state first. *)
+include Checker.S
+(** The stream-checker lifecycle, subscribed on the simulator side.
+    Nothing is outstanding at the end of a TCP run that the tables
+    have not judged already, so [drained] changes nothing; the default
+    title is ["tcp-fsm conformance checker"]. {!active} is also true
+    while the native subscriber is armed. *)
 
-val uninstall : unit -> unit
-
-val install_native : ?sample:int -> unit -> unit
-(** Arm as the native TCP listener (events arrive from any domain; the
-    checker serializes them on an internal mutex). [sample] keeps one
-    in [sample] {e connections} (power-of-two rounding) — a kept
-    connection's event stream is complete, so sampling hides whole
-    connections but never truncates one. *)
+val install_native : unit -> unit
+(** Arm as the native TCP subscriber ({!Newt_channels.Hook.set_tcp_native}):
+    events arrive from any domain and the checker serializes them on
+    an internal mutex. Idempotent; clears all checker state first. *)
 
 val uninstall_native : unit -> unit
-(** Disarm the native listener and reset the sampling period. *)
-
-val active : unit -> bool
-val reset : unit -> unit
+(** Disarm the native subscriber. *)
 
 val violations : unit -> Report.violation list
 val segment_count : unit -> int
@@ -112,8 +108,6 @@ val crosscheck_conntrack : where:string -> Newt_pf.Conntrack.t -> unit
     handshake-shape definition and the state machine's. Connections
     the checker never observed are skipped. Violations land in
     {!violations} under ["conntrack-confirmed-half-open"]. *)
-
-val report : ?title:string -> unit -> Report.t
 
 val verdict_json : unit -> string
 (** Mcheck-shaped verdict: [{"component":"tcp-fsm","ok":…,

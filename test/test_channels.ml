@@ -365,29 +365,31 @@ let test_hook_listener_chain () =
       Alcotest.(check int) "double remove harmless" 3 !b);
   Alcotest.(check bool) "chain restored" before (Hook.enabled ())
 
-let test_hook_install_facade_coexists () =
-  (* The deprecated one-slot [install] must neither displace nor be
-     displaced by chain listeners: both checkers see every event. *)
-  let legacy = ref 0 and chained = ref 0 in
-  let tok = Hook.add (fun ~actor:_ _ -> incr chained) in
-  Fun.protect
-    ~finally:(fun () ->
-      Hook.remove tok;
-      Hook.uninstall ())
-    (fun () ->
-      Hook.install (fun ~actor:_ _ -> incr legacy);
-      Hook.emit (Hook.Req_reset { db = 7 });
-      Alcotest.(check int) "legacy slot fed" 1 !legacy;
-      Alcotest.(check int) "chain listener fed" 1 !chained;
-      (* A second install rebinds the single slot; it does not stack. *)
-      Hook.install (fun ~actor:_ _ -> legacy := !legacy + 100);
-      Hook.emit (Hook.Req_reset { db = 7 });
-      Alcotest.(check int) "install rebinds, not stacks" 101 !legacy;
-      Alcotest.(check int) "chain unaffected by rebinding" 2 !chained;
-      Hook.uninstall ();
-      Hook.emit (Hook.Req_reset { db = 7 });
-      Alcotest.(check int) "legacy slot gone" 101 !legacy;
-      Alcotest.(check int) "chain survives uninstall" 3 !chained)
+let tcp_seg =
+  Hook.T_seg_tx
+    {
+      lip = 1l;
+      lport = 80;
+      rip = 2l;
+      rport = 4242;
+      flags = { Hook.syn = true; ack = false; fin = false; rst = false; data = false };
+    }
+
+let test_hook_native_tcp_slot () =
+  (* The native TCP subscriber sees the TCP events of the stream and
+     nothing else, and arming it must not turn the pool/request side
+     on: native domains would start emitting pool events and opening
+     actor brackets for nobody. *)
+  let got = ref [] in
+  Hook.set_tcp_native (fun ev -> got := ev :: !got);
+  Fun.protect ~finally:Hook.clear_tcp_native (fun () ->
+      Alcotest.(check bool) "pool side stays off" false (Hook.enabled ());
+      Alcotest.(check bool) "tcp side on" true (Hook.enabled ~tcp:true ());
+      Hook.emit (Hook.Req_reset { db = 424242 });
+      Hook.emit tcp_seg;
+      Alcotest.(check int) "only the TCP event delivered" 1 (List.length !got));
+  Alcotest.(check bool) "tcp side off after clear" false
+    (Hook.enabled ~tcp:true ())
 
 let test_hook_actor_epoch_bracket () =
   let seen = ref [] in
@@ -636,8 +638,8 @@ let suite =
     ("request db cyclic aborts hit the depth cap", `Quick,
       test_request_db_abort_cycle_capped);
     ("hook listener chain add/remove", `Quick, test_hook_listener_chain);
-    ("hook legacy install coexists with the chain", `Quick,
-      test_hook_install_facade_coexists);
+    ("hook native TCP slot leaves the pool side off", `Quick,
+      test_hook_native_tcp_slot);
     ("hook actor/epoch bracket", `Quick, test_hook_actor_epoch_bracket);
     ("pubsub publish/subscribe", `Quick, test_pubsub_basic);
     ("pubsub replays to late subscriber", `Quick, test_pubsub_replay_to_late_subscriber);

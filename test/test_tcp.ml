@@ -665,10 +665,7 @@ let test_ephemeral_port_reuse_at_churn_rates () =
 module Tcpfsm = Newt_verify.Tcpfsm
 module Report = Newt_verify.Report
 
-let with_fsm f =
-  Tcpfsm.install ();
-  Tcpfsm.reset ();
-  Fun.protect ~finally:Tcpfsm.uninstall f
+let with_fsm f = Newt_verify.Checker.with_checkers [ (module Tcpfsm) ] f
 
 let fsm_clean label =
   Alcotest.(check (list string))

@@ -17,6 +17,7 @@ module Report = Newt_verify.Report
 module Static = Newt_verify.Static
 module Sanitizer = Newt_verify.Sanitizer
 module Protocol = Newt_verify.Protocol
+module Checker = Newt_verify.Checker
 module Mcheck = Newt_verify.Mcheck
 
 (* A little world builder: components on dedicated cores, wired by
@@ -323,9 +324,7 @@ let test_static_sharding_pf_missing_fanout () =
 
 (* --- sanitizer: staged violations --------------------------------- *)
 
-let with_sanitizer f =
-  Sanitizer.install ();
-  Fun.protect ~finally:Sanitizer.uninstall f
+let with_sanitizer f = Checker.with_checkers [ (module Sanitizer) ] f
 
 let test_sanitizer_double_free () =
   with_sanitizer @@ fun () ->
@@ -414,7 +413,7 @@ let test_sanitizer_leaks () =
       Alcotest.(check (option string)) "allocator recorded" (Some "udp0")
         l.Sanitizer.allocator
   | ls -> Alcotest.failf "expected 1 leak, got %d" (List.length ls));
-  let r = Sanitizer.report ~check_leaks:true ~title:"t" () in
+  let r = Sanitizer.report ~drained:true ~title:"t" () in
   Alcotest.(check bool) "leak fails the leak-checked report" false (Report.ok r);
   Alcotest.(check bool) "but is not a violation by itself" true
     (Report.ok (Sanitizer.report ~title:"t" ()));
@@ -444,6 +443,15 @@ let test_sanitizer_crash_reclaim_not_leaked () =
     (List.length (Sanitizer.leaks ()));
   Alcotest.(check int) "no violations either" 0
     (List.length (Sanitizer.violations ()))
+
+let test_sanitizer_install_idempotent () =
+  (* Installing an armed sanitizer again must neither clear its shadow
+     state mid-run nor rebind its listener. *)
+  with_sanitizer @@ fun () ->
+  Hook.emit (Hook.Pool_alloc { pool = 303; slot = 0; gen = 0 });
+  Sanitizer.install ();
+  Alcotest.(check int) "event kept" 1 (Sanitizer.event_count ());
+  Alcotest.(check int) "allocation kept" 1 (Sanitizer.alloc_count ())
 
 let test_sanitizer_cross_incarnation_free () =
   with_sanitizer @@ fun () ->
@@ -520,13 +528,7 @@ let test_continuous_catches_broken_recovery () =
 
 (* --- protocol checker: staged event streams ----------------------- *)
 
-let with_protocol f =
-  Protocol.install ();
-  Fun.protect
-    ~finally:(fun () ->
-      Protocol.uninstall ();
-      Protocol.reset ())
-    f
+let with_protocol f = Checker.with_checkers [ (module Protocol) ] f
 
 let test_protocol_clean_conversation () =
   with_protocol (fun () ->
@@ -824,7 +826,7 @@ let drift_lip = Addr.Ipv4.v 10 9 0 1
 let drift_rip = Addr.Ipv4.v 10 9 0 2
 
 let drift_transition ~from_s ~to_s cause =
-  Hook.tcp_emit
+  Hook.emit
     (Hook.T_state_change
        {
          lip = Addr.Ipv4.to_int32 drift_lip;
@@ -843,9 +845,7 @@ let rx_ack =
   Hook.T_rx { Hook.syn = false; ack = true; fin = false; rst = false; data = false }
 
 let test_tcpfsm_conntrack_drift_flagged () =
-  Tcpfsm.install ();
-  Tcpfsm.reset ();
-  Fun.protect ~finally:Tcpfsm.uninstall @@ fun () ->
+  Checker.with_checkers [ (module Tcpfsm) ] @@ fun () ->
   (* A half-open PCB: the shadow FSM parks it in SYN_RECEIVED. *)
   drift_transition ~from_s:Tcp.Closed ~to_s:Tcp.Syn_received rx_syn;
   Alcotest.(check bool) "shadow tracks SYN_RECEIVED" true
@@ -875,9 +875,7 @@ let test_tcpfsm_conntrack_drift_flagged () =
        (Tcpfsm.violations ()))
 
 let test_tcpfsm_conntrack_agreement_clean () =
-  Tcpfsm.install ();
-  Tcpfsm.reset ();
-  Fun.protect ~finally:Tcpfsm.uninstall @@ fun () ->
+  Checker.with_checkers [ (module Tcpfsm) ] @@ fun () ->
   (* The same flow, handshake completed: confirmation is earned. *)
   drift_transition ~from_s:Tcp.Closed ~to_s:Tcp.Syn_received rx_syn;
   drift_transition ~from_s:Tcp.Syn_received ~to_s:Tcp.Established rx_ack;
@@ -900,57 +898,90 @@ let test_tcpfsm_conntrack_agreement_clean () =
     (List.length (Tcpfsm.violations ()))
 
 let test_tcpfsm_sampling_keeps_whole_connections () =
-  (* 1-in-N sampling must drop whole connections, never truncate a
-     stream mid-flight — a half-seen handshake would read as an
-     illegal transition and poison the verdict. *)
-  Tcpfsm.install ();
-  Tcpfsm.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Tcpfsm.uninstall ();
-      Hook.set_tcp_sample 1)
+  (* 1-in-N sampling must drop whole subjects, never truncate one
+     mid-flight — a half-seen handshake would read as an illegal
+     transition, a half-seen slot as a leak and a half-seen
+     conversation as an unresolved request. The one sampler keys TCP
+     connections, pool slots and request ids alike. *)
+  Checker.with_checkers ~sample:4
+    [ (module Sanitizer); (module Protocol); (module Tcpfsm) ]
   @@ fun () ->
-  Hook.set_tcp_sample 4;
-  let syn_sent_cause = Hook.T_api in
-  for rport = 1000 to 1063 do
-    Hook.tcp_emit
+  let counted f =
+    let seen0, kept0 = Hook.sample_counts () in
+    for i = 0 to 63 do
+      f i
+    done;
+    let seen, kept = Hook.sample_counts () in
+    let seen = seen - seen0 and kept = kept - kept0 in
+    Alcotest.(check int) "every emission was counted" 128 seen;
+    Alcotest.(check bool)
+      (Printf.sprintf "a strict nonempty subset was kept (%d/%d)" kept seen)
+      true
+      (kept > 0 && kept < seen);
+    Alcotest.(check bool) "kept events come in whole subjects" true
+      (kept mod 2 = 0);
+    kept / 2
+  in
+  let transition ~rport ~from_s ~to_s cause =
+    Hook.emit
       (Hook.T_state_change
          {
            lip = Addr.Ipv4.to_int32 drift_lip;
            lport = 30_000 + rport;
            rip = Addr.Ipv4.to_int32 drift_rip;
            rport;
-           from_s = Tcp.state_code Tcp.Closed;
-           to_s = Tcp.state_code Tcp.Syn_sent;
-           cause = syn_sent_cause;
-         });
-    Hook.tcp_emit
-      (Hook.T_state_change
-         {
-           lip = Addr.Ipv4.to_int32 drift_lip;
-           lport = 30_000 + rport;
-           rip = Addr.Ipv4.to_int32 drift_rip;
-           rport;
-           from_s = Tcp.state_code Tcp.Syn_sent;
-           to_s = Tcp.state_code Tcp.Established;
-           cause =
-             Hook.T_rx
-               { Hook.syn = true; ack = true; fin = false; rst = false;
-                 data = false };
+           from_s = Tcp.state_code from_s;
+           to_s = Tcp.state_code to_s;
+           cause;
          })
-  done;
-  let seen, kept = Hook.tcp_sample_counts () in
-  Alcotest.(check int) "every emission was counted" 128 seen;
-  Alcotest.(check bool)
-    (Printf.sprintf "a strict nonempty subset was kept (%d/%d)" kept seen)
-    true
-    (kept > 0 && kept < seen);
-  Alcotest.(check bool) "kept events come in whole connections" true
-    (kept mod 2 = 0);
-  (* No transition-origin mismatches: dropped connections vanished
-     whole, so the checker saw nothing inconsistent. *)
+  in
+  let conns =
+    counted (fun i ->
+        transition ~rport:(1000 + i) ~from_s:Tcp.Closed ~to_s:Tcp.Syn_sent
+          Hook.T_api;
+        transition ~rport:(1000 + i) ~from_s:Tcp.Syn_sent
+          ~to_s:Tcp.Established
+          (Hook.T_rx
+             { Hook.syn = true; ack = true; fin = false; rst = false;
+               data = false }))
+  in
+  Alcotest.(check int) "whole connections judged" (2 * conns)
+    (Tcpfsm.transition_count ());
+  let slots =
+    counted (fun slot ->
+        Hook.emit (Hook.Pool_alloc { pool = 904; slot; gen = 0 });
+        Hook.emit (Hook.Pool_free { pool = 904; slot; gen = 0 }))
+  in
+  Alcotest.(check int) "whole slots allocated" slots (Sanitizer.alloc_count ());
+  Alcotest.(check int) "and freed" slots (Sanitizer.free_count ());
+  let convs =
+    counted (fun i ->
+        Hook.emit (Hook.Req_submit { db = 904; id = 904_000 + i; peer = 1 });
+        Hook.emit (Hook.Req_confirm { db = 904; id = 904_000 + i; known = true }))
+  in
+  Alcotest.(check int) "whole conversations opened" convs
+    (Protocol.count "requests");
+  Alcotest.(check int) "and confirmed" convs (Protocol.count "confirms");
+  (* Dropped subjects vanished whole, so no checker saw anything
+     inconsistent. *)
   Alcotest.(check int) "sampling produced no violations" 0
-    (List.length (Tcpfsm.violations ()))
+    (List.length (Tcpfsm.violations ())
+    + List.length (Sanitizer.report ~drained:true ()).Report.violations
+    + List.length (Protocol.report ~drained:true ()).Report.violations)
+
+let test_stream_accounting_per_checker () =
+  (* The three stream checkers share one event stream; each counts
+     only its own family. The sanitizer's count is the hooks= field of
+     the recovery benchmark's golden fingerprint. *)
+  Checker.with_checkers
+    [ (module Sanitizer); (module Protocol); (module Tcpfsm) ]
+  @@ fun () ->
+  Hook.emit (Hook.Pool_alloc { pool = 905; slot = 0; gen = 0 });
+  Hook.emit (Hook.Req_submit { db = 905; id = 905_000; peer = 1 });
+  drift_transition ~from_s:Tcp.Closed ~to_s:Tcp.Syn_sent Hook.T_api;
+  Alcotest.(check int) "sanitizer: pool + request" 2 (Sanitizer.event_count ());
+  Alcotest.(check int) "protocol: request only" 1 (Protocol.event_count ());
+  Alcotest.(check int) "tcp-fsm: tcp only" 1 (Tcpfsm.event_count ())
 
 let suite =
   [
@@ -985,6 +1016,8 @@ let suite =
       test_sanitizer_crash_reclaim_not_leaked);
     ("sanitizer: cross-incarnation free flagged", `Quick,
       test_sanitizer_cross_incarnation_free);
+    ("sanitizer: install is idempotent", `Quick,
+      test_sanitizer_install_idempotent);
     ("continuous: stock campaign re-checks clean", `Quick,
       test_continuous_stock_campaign_clean);
     ("continuous: broken recovery fails the campaign", `Quick,
@@ -1021,4 +1054,6 @@ let suite =
       test_tcpfsm_conntrack_agreement_clean);
     ("tcp-fsm: sampling keeps whole connections", `Quick,
       test_tcpfsm_sampling_keeps_whole_connections);
+    ("stream: each checker counts only its own events", `Quick,
+      test_stream_accounting_per_checker);
   ]
