@@ -1,7 +1,7 @@
 # Tier-1 gate: what CI runs on every PR.
 .PHONY: check build test fmt verify verify-protocol verify-continuous \
 	sanitize-smoke bench-smoke churn-smoke native-smoke model-check \
-	model-check-negative race-check fsm-check bench-golden clean
+	model-check-negative race-check fsm-check bench-golden sim-golden clean
 
 check: build test fmt verify
 
@@ -182,6 +182,16 @@ churn-smoke: build
 # refactor left every simulated output unchanged.
 bench-golden:
 	python3 perfbench/run.py --selftest
+
+# Golden simulated outputs of the paper's figures and tables: the
+# packet-level cross-check (5-port split stack, single server, MINIX),
+# coalesced drivers, Figures 4 and 5, the fault campaign (text, JSON,
+# fully checked with sampling, two PF shards) and one replicated
+# scaling point, each rerun on its fixed seed and diffed byte for byte
+# against test/sim_golden/. `test/sim_golden/run.sh update` rewrites
+# them (only for a change that means to move a simulated number).
+sim-golden:
+	sh test/sim_golden/run.sh check
 
 # A bounded run of the native runtime: the component servers on two
 # real OCaml domains over real SPSC rings, iperf bulk + split-stack
