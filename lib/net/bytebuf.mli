@@ -3,7 +3,12 @@
     Backs the TCP send buffer (where it doubles as the retransmission
     store: bytes stay until cumulatively acknowledged, and retransmission
     re-reads from the front) and the receive buffer (whose free space is
-    the advertised window). *)
+    the advertised window).
+
+    The backing store grows on demand, doubling up to [capacity]: a
+    buffer that never holds more than a few bytes never allocates more.
+    [capacity] and [available] always describe the configured bound, so
+    window computations do not see the growth. *)
 
 type t
 

@@ -515,6 +515,54 @@ let test_bytebuf_bounds () =
   Alcotest.check_raises "drop oob" (Invalid_argument "Bytebuf.drop") (fun () ->
       Bytebuf.drop b 3)
 
+(* The backing store grows on demand, so its ring wraps at a physical
+   size that changes under it. Run random push/peek/drop sequences
+   against a plain string model, with chunk sizes that cross every
+   growth step (4 KiB doubling to the 20000-byte capacity) and wrap the
+   ring at each size. *)
+let test_bytebuf_model =
+  qtest "push/peek/drop match a string model across growth and wrap"
+    QCheck2.Gen.(
+      list_size (int_range 1 80)
+        (tup3 (int_range 0 2) (int_range 0 6000) (int_range 0 6000)))
+    (fun ops ->
+      let capacity = 20000 in
+      let b = Bytebuf.create ~capacity in
+      let model = ref "" in
+      let counter = ref 0 in
+      List.for_all
+        (fun (op, x, y) ->
+          let len = String.length !model in
+          let ok =
+            match op with
+            | 0 ->
+                let src =
+                  Bytes.init x (fun _ ->
+                      incr counter;
+                      Char.chr (!counter land 0xff))
+                in
+                let n = Bytebuf.push b src ~off:0 ~len:x in
+                let fits = min x (capacity - len) in
+                model := !model ^ Bytes.sub_string src 0 fits;
+                n = fits
+            | 1 ->
+                let off = if len = 0 then 0 else x mod (len + 1) in
+                let l = if len - off = 0 then 0 else y mod (len - off + 1) in
+                Bytes.to_string (Bytebuf.peek b ~off ~len:l)
+                = String.sub !model off l
+            | _ ->
+                let n = if len = 0 then 0 else x mod (len + 1) in
+                Bytebuf.drop b n;
+                model := String.sub !model n (len - n);
+                true
+          in
+          ok
+          && Bytebuf.length b = String.length !model
+          && Bytebuf.available b = capacity - String.length !model
+          && Bytebuf.capacity b = capacity)
+        ops
+      && Bytes.to_string (Bytebuf.pop b ~max:capacity) = !model)
+
 let suite =
   [
     ("ipv4 address parse/print", `Quick, test_ipv4_roundtrip);
@@ -555,4 +603,5 @@ let suite =
     ("bytebuf fifo with wraparound", `Quick, test_bytebuf_fifo);
     test_bytebuf_stress;
     ("bytebuf bounds checking", `Quick, test_bytebuf_bounds);
+    test_bytebuf_model;
   ]

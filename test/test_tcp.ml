@@ -654,6 +654,31 @@ let test_ephemeral_port_reuse_at_churn_rates () =
   Alcotest.(check bool) "client table stays bounded" true
     (Tcp.connection_count w.tcp_a < 200)
 
+let test_idle_connections_allocate_no_window () =
+  (* A PCB's send and receive buffers are sized by the configured
+     window (256 KiB each way) but must not allocate it up front: a
+     thousand idle connections, each end of each one holding a PCB,
+     stay within a few KiB per connection. Allocating both windows at
+     [new_pcb] would cost 65536 words per PCB. *)
+  let w = make_world ~latency_us:5.0 () in
+  let accepted = ref 0 in
+  Tcp.listen w.tcp_b ~port:80 ~on_accept:(fun _ -> incr accepted);
+  let n = 1_000 in
+  let before = Gc.allocated_bytes () in
+  let connected = ref 0 in
+  for _ = 1 to n do
+    let pcb = Tcp.connect w.tcp_a ~src:ip_a ~dst:ip_b ~dst_port:80 () in
+    Tcp.set_handler pcb (fun ev -> if ev = Tcp.Connected then incr connected)
+  done;
+  Engine.run ~until:(Time.of_seconds 0.1) w.engine;
+  let after = Gc.allocated_bytes () in
+  Alcotest.(check int) "all connected" n !connected;
+  Alcotest.(check int) "all accepted" n !accepted;
+  let per_conn = (after -. before) /. 8.0 /. float_of_int n in
+  if per_conn > 4096.0 then
+    Alcotest.failf "%.0f words allocated per idle connection (bound 4096)"
+      per_conn
+
 (* {2 The conformance checker riding the rare close paths}
 
    [Newt_verify.Tcpfsm] judges every hook event these worlds emit. The
@@ -829,6 +854,9 @@ let suite =
     ( "ephemeral ports recycle at churn rates",
       `Quick,
       test_ephemeral_port_reuse_at_churn_rates );
+    ( "idle connections allocate no window up front",
+      `Quick,
+      test_idle_connections_allocate_no_window );
     ("fsm checker: simultaneous close", `Quick, test_fsm_simultaneous_close);
     ( "fsm checker: LAST_ACK retransmission",
       `Quick,
