@@ -647,11 +647,11 @@ let print_crossval domains seconds json skip_unsupported allow_oversub =
 let print_mcheck json config budget seed break_recovery =
   let outcomes =
     (if config = `Sharded then []
-     else [ ("split stack", E.mcheck_split ?budget ~seed ?break_recovery ()) ])
+     else [ ("split stack", E.mcheck ?budget ~seed ?break_recovery E.Split) ])
     @
     if config = `Split then []
     else
-      [ ("sharded N=2 r=2 pf=2", E.mcheck_sharded ?budget ?break_recovery ()) ]
+      [ ("sharded N=2 r=2 pf=2", E.mcheck ?budget ~seed ?break_recovery E.Sharded) ]
   in
   if json then
     print_endline

@@ -8,7 +8,6 @@ module Sink = Newt_stack.Sink
 module Tcp_srv = Newt_stack.Tcp_srv
 module Apps = Newt_sockets.Apps
 module Socket_api = Newt_sockets.Socket_api
-module Static = Newt_verify.Static
 module Continuous = Newt_verify.Continuous
 module Tcpfsm = Newt_verify.Tcpfsm
 module Pf_srv = Newt_stack.Pf_srv
@@ -172,16 +171,8 @@ let run_sharded scenario ~rate ~duration ~shards ~ip_replicas ~pf_shards
     break_tcp;
   Option.iter
     (fun v ->
-      S.on_reincarnated s (fun comp ->
-          Continuous.recheck v (fun () ->
-              Static.check
-                ~directory:(S.directory s)
-                ~sharding:(Experiments.sharded_spec s)
-                ~title:
-                  (Printf.sprintf "churn %s: after %s restart"
-                     (scenario_name scenario)
-                     (Newt_stack.Component.name comp))
-                (S.components s))))
+      Experiments.recheck_after_restarts ~sharded:true v s
+        ~title:("churn " ^ scenario_name scenario))
     verify;
   Sink.serve_tcp_echo (S.sink s) ~port:echo_port;
   let bulk_received = ref 0 in
@@ -295,14 +286,8 @@ let run_listen_pressure ~rate ~duration ~backlog ~accept_interval ~seed
   let h = Host.create ~config () in
   Option.iter
     (fun v ->
-      Host.on_reincarnated h (fun comp ->
-          Continuous.recheck v (fun () ->
-              Static.check
-                ~directory:(Host.directory h)
-                ~title:
-                  (Printf.sprintf "churn listen-pressure: after %s restart"
-                     (Newt_stack.Component.name comp))
-                (Host.components h))))
+      Experiments.recheck_after_restarts v (Host.stack h)
+        ~title:"churn listen-pressure")
     verify;
   let sc = Host.sc h and app = Host.app h in
   let accepted = ref 0 in

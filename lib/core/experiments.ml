@@ -105,11 +105,10 @@ let single_server_event_sim ?(nics = 5) ?(duration = 1.0) () =
   let module Registry = Newt_channels.Registry in
   let module Sim_chan = Newt_channels.Sim_chan in
   let module Link = Newt_nic.Link in
-  let module E1000 = Newt_nic.E1000 in
+  let module Mq = Newt_nic.Mq_e1000 in
   let module Addr = Newt_net.Addr in
   let module Proc = Newt_stack.Proc in
-  let module Component = Newt_stack.Component in
-  let module Drv_srv = Newt_stack.Drv_srv in
+  let module Mq_drv_srv = Newt_stack.Mq_drv_srv in
   let module Single = Newt_stack.Single_srv in
   let module Sc = Newt_stack.Syscall_srv in
   let engine = Engine.create () in
@@ -139,19 +138,20 @@ let single_server_event_sim ?(nics = 5) ?(duration = 1.0) () =
     Array.init nics (fun i ->
         let link = Link.create engine () in
         let nic =
-          E1000.create engine ~registry ~link ~side:Link.Left
+          Mq.create engine ~registry ~link ~side:Link.Left
             ~mac:(Addr.Mac.of_index (100 + i))
-            ()
+            ~rss:(Newt_nic.Rss.create ~queues:1 ())
+            ~profile:Mq.E1000 ()
         in
         let drv_comp =
           Component.create machine ~name:(Printf.sprintf "drv%d" i)
             ~core:drv_cores.(i) ()
         in
-        let drv = Drv_srv.create drv_comp ~nic () in
+        let drv = Mq_drv_srv.create drv_comp ~nic () in
         let tx_chan = chan () and rx_chan = chan () in
         let iface =
           Single.add_iface stk ~addr:(Addr.Ipv4.v 10 0 i 1)
-            ~mac:(E1000.mac nic) ~drv ~tx_chan ~rx_chan
+            ~mac:(Mq.mac nic) ~drv ~tx_chan ~rx_chan
         in
         Single.add_route stk ~prefix:(Addr.Ipv4.v 10 0 i 0) ~bits:24 ~iface
           ~gateway:None;
@@ -230,16 +230,69 @@ let minix_event_sim ?(duration = 2.0) () =
    wrong core or loses a republish is caught the moment it happens, not
    at wiring time. *)
 
-let attach_continuous v h ~title =
-  Host.on_reincarnated h (fun comp ->
+let sharded_spec s =
+  let module S = Newt_scale.Sharded_stack in
+  let module Sim_chan = Newt_channels.Sim_chan in
+  let cfg = S.config s in
+  let chans = S.tcp_channels s in
+  {
+    Newt_verify.Static.shards = cfg.S.shards;
+    replicas = cfg.S.ip_replicas;
+    rss_table = Newt_nic.Rss.table (Newt_scale.Shard_map.rss (S.shard_map s));
+    shard_to_ip = Array.map (fun (c, _) -> Sim_chan.id c) chans;
+    ip_to_shard = Array.map (fun (_, c) -> Sim_chan.id c) chans;
+    replica_names = Array.map Component.name (S.ip_components s);
+    shard_names = Array.map Component.name (S.tcp_components s);
+    pf_shards = S.pf_shard_count s;
+    pf_names = Array.map Component.name (S.pf_components s);
+    ip_to_pf =
+      Array.map (Array.map (fun (c, _) -> Sim_chan.id c)) (S.pf_channels s);
+    pf_to_ip =
+      Array.map (Array.map (fun (_, c) -> Sim_chan.id c)) (S.pf_channels s);
+  }
+
+let recheck_after_restarts ?(sharded = false) v s ~title =
+  let module S = Newt_scale.Sharded_stack in
+  S.on_reincarnated s (fun comp ->
       Continuous.recheck v (fun () ->
-          Static.check
-            ~directory:(Host.directory h)
+          Static.check ~directory:(S.directory s)
+            ?sharding:(if sharded then Some (sharded_spec s) else None)
             ~title:
-              (Printf.sprintf "%s: after %s restart %d" title
-                 (Newt_stack.Component.name comp)
-                 (Newt_stack.Component.incarnation comp))
-            (Host.components h)))
+              (Printf.sprintf "%s: after %s restart %d" title (Component.name comp)
+                 (Component.incarnation comp))
+            (S.components s)))
+
+(* {1 Recovery sabotage}
+
+   The {!Host.sabotage} defects, installed on member 0 of the victim's
+   plane (port [i]'s driver for [C_drv i]) of any stack configuration:
+   the negative controls of the continuous re-checks and of the model
+   checker. *)
+
+let sabotage s comp kind =
+  let module S = Newt_scale.Sharded_stack in
+  let victim = Host.member s comp in
+  match kind with
+  | Host.Wrong_core ->
+      (* Recovery brings the server up on a core that already runs a
+         component it shares a channel with — the core-affinity
+         re-check must flag it. Land on IP's core (every server has a
+         channel with IP), or on TCP's when the victim is IP itself. *)
+      let occupied =
+        Component.core (Host.member s (if comp = Host.C_ip then Host.C_tcp else Host.C_ip))
+      in
+      Component.on_restarted victim (fun () -> Component.migrate victim occupied)
+  | Host.Skip_republish ->
+      (* Recovery loses the republish: overwrite the first export with
+         a dangling chan_id, so directory lookups no longer match the
+         wired channel. A pure metadata lie — peers keep their attached
+         endpoints, so only the republish re-check can catch it. *)
+      Component.on_restarted victim (fun () ->
+          match Component.exports victim with
+          | (key, _) :: _ ->
+              Newt_channels.Pubsub.publish (S.directory s) ~key
+                ~creator:(Component.pid victim) ~chan_id:(-1)
+          | [] -> ())
 
 (* {1 Figures 4 and 5} *)
 
@@ -264,7 +317,7 @@ let crash_run ?nic_reset ?verify ~seed ~rules ~protect_port ~crashes ~component
     | None -> config
   in
   let h = Host.create ~config () in
-  Option.iter (fun v -> attach_continuous v h ~title:"crash run") verify;
+  Option.iter (fun v -> recheck_after_restarts v (Host.stack h) ~title:"crash run") verify;
   let sink = Host.sink h 0 in
   let series = Series.create ~bin_width:(Time.of_seconds 0.1) in
   Sink.sink_tcp sink ~port:protect_port ~on_bytes:(fun ~at n -> Series.add series at n);
@@ -387,8 +440,10 @@ let campaign_run ?verify ?break_recovery ?(pf_shards = 1) ~seed
     { Host.default_config with Host.seed; pf_rules = rules; pf_shards }
   in
   let h = Host.create ~config () in
-  Option.iter (fun v -> attach_continuous v h ~title:"campaign run") verify;
-  Option.iter (fun (comp, kind) -> Host.sabotage h comp kind) break_recovery;
+  Option.iter
+    (fun v -> recheck_after_restarts v (Host.stack h) ~title:"campaign run")
+    verify;
+  Option.iter (fun (comp, kind) -> sabotage (Host.stack h) comp kind) break_recovery;
   let sink = Host.sink h 0 in
   Sink.serve_tcp_echo sink ~port:22;
   Sink.serve_dns sink ~zone:(fun _ -> Some (Host.sink_addr h 0)) ();
@@ -638,28 +693,6 @@ let driver_coalescing ?(costs = Costs.default) () =
 
 (* {1 Scaling curve — N transport shards behind a multi-queue NIC} *)
 
-let sharded_spec s =
-  let module S = Newt_scale.Sharded_stack in
-  let module Sim_chan = Newt_channels.Sim_chan in
-  let module Component = Newt_stack.Component in
-  let cfg = S.config s in
-  let chans = S.tcp_channels s in
-  {
-    Newt_verify.Static.shards = cfg.S.shards;
-    replicas = cfg.S.ip_replicas;
-    rss_table = Newt_nic.Rss.table (Newt_scale.Shard_map.rss (S.shard_map s));
-    shard_to_ip = Array.map (fun (c, _) -> Sim_chan.id c) chans;
-    ip_to_shard = Array.map (fun (_, c) -> Sim_chan.id c) chans;
-    replica_names = Array.map Component.name (S.ip_components s);
-    shard_names = Array.map Component.name (S.tcp_components s);
-    pf_shards = S.pf_shard_count s;
-    pf_names = Array.map Component.name (S.pf_components s);
-    ip_to_pf =
-      Array.map (Array.map (fun (c, _) -> Sim_chan.id c)) (S.pf_channels s);
-    pf_to_ip =
-      Array.map (Array.map (fun (_, c) -> Sim_chan.id c)) (S.pf_channels s);
-  }
-
 type scaling_point = {
   shards : int;
   ip_replicas : int;
@@ -699,15 +732,8 @@ let scaling_curve ?(shard_counts = [ 1; 2; 4; 8 ]) ?(ip_replicas = 1)
     let s = S.create ~config () in
     Option.iter
       (fun v ->
-        S.on_reincarnated s (fun comp ->
-            Continuous.recheck v (fun () ->
-                Static.check
-                  ~directory:(S.directory s)
-                  ~sharding:(sharded_spec s)
-                  ~title:
-                    (Printf.sprintf "scaling N=%d r=%d: after %s restart" n r
-                       (Newt_stack.Component.name comp))
-                  (S.components s))))
+        recheck_after_restarts ~sharded:true v s
+          ~title:(Printf.sprintf "scaling N=%d r=%d" n r))
       verify;
     let total = ref 0 in
     for i = 0 to flows - 1 do
@@ -824,28 +850,6 @@ let protocol_pf_crash ?seed ?rules ?crash_at ?duration () =
    and the protocol checker; the protocol event ring is the
    counterexample trace. *)
 
-let host_component_of_name = function
-  | "tcp" -> Some Host.C_tcp
-  | "udp" -> Some Host.C_udp
-  | "ip" -> Some Host.C_ip
-  | "pf" -> Some Host.C_pf
-  | name when String.length name > 3 && String.sub name 0 3 = "drv" ->
-      Option.map
-        (fun i -> Host.C_drv i)
-        (int_of_string_opt (String.sub name 3 (String.length name - 3)))
-  | _ -> None
-
-let split_crash_points () =
-  let h = Host.create () in
-  List.filter_map
-    (fun c ->
-      let name = Component.name c in
-      (* Only components the fault injector can kill (the SYSCALL
-         server is not part of the restart story, Section V-D). *)
-      if host_component_of_name name = None then None
-      else Some (name, Component.recovery_steps c))
-    (Host.components h)
-
 let violation ~check ~(case : Mcheck.case) detail =
   {
     Newt_verify.Report.check;
@@ -887,159 +891,96 @@ let judge ~(case : Mcheck.case) ~alive ~armed_left ~check_leaks v =
     trace = (if converged then [] else trace);
   }
 
-let mcheck_split ?budget ?(seed = 42) ?break_recovery () =
-  let cases = Mcheck.enumerate (split_crash_points ()) in
-  Checker.with_checkers [ (module Protocol); (module Sanitizer) ] (fun () ->
-      let run (case : Mcheck.case) =
-        let target =
-          match host_component_of_name case.Mcheck.component with
-          | Some c -> c
-          | None -> invalid_arg "mcheck_split: unkillable component"
-        in
-        (* A short device reset keeps each of the ~16 cases cheap while
-           still exercising the driver-reset recovery step. *)
-        let config =
+type mcheck_config = Split | Sharded
+
+(* A configuration's world and load. The split stack runs one flow that
+   ends well before the run does, with a short device reset so each
+   case stays cheap while still exercising the driver-reset step; its
+   tail drains, so leaks and open obligations count. The sharded stack
+   (N=2 shards x r=2 IP replicas x pf=2 PF shards) runs four flows in a
+   short window that is not guaranteed to drain, and is re-checked with
+   its sharding spec (RSS affinity, the PF partition). *)
+type mcheck_world = {
+  stack : Newt_scale.Sharded_stack.config;
+  sharded : bool;
+  flows : int;
+  traffic_until : float;
+  kill_at : float;
+  run_until : float;
+  drained : bool;
+}
+
+let mcheck_world ~seed = function
+  | Split ->
+      {
+        stack =
+          Host.stack_config
+            { Host.default_config with Host.seed; nic_reset_time = Time.of_seconds 0.2 };
+        sharded = false;
+        flows = 1;
+        traffic_until = 2.2;
+        kill_at = 0.6;
+        run_until = 3.4;
+        drained = true;
+      }
+  | Sharded ->
+      let module S = Newt_scale.Sharded_stack in
+      {
+        stack =
           {
-            Host.default_config with
-            Host.seed;
-            nic_reset_time = Time.of_seconds 0.2;
-          }
-        in
-        let h = Host.create ~config () in
-        let v = Continuous.create () in
-        attach_continuous v h ~title:"mcheck";
-        Option.iter (fun (c, k) -> Host.sabotage h c k) break_recovery;
-        let sink = Host.sink h 0 in
-        Sink.sink_tcp sink ~port:5001 ~on_bytes:(fun ~at:_ _ -> ());
-        let _iperf =
-          Apps.Iperf.start (Host.machine h) ~sc:(Host.sc h) ~app:(Host.app h)
-            ~dst:(Host.sink_addr h 0) ~port:5001
-            ~until:(Time.of_seconds 2.2) ()
-        in
-        let comp = Host.comp_of h target in
-        Component.arm_crash_after comp ~step:case.Mcheck.step;
-        Host.at h (Time.of_seconds 0.6) (fun () -> Host.kill_component h target);
-        (* Past the traffic's end so the tail drains and the leak check
-           reads a quiesced stack. *)
-        Host.run h ~until:(Time.of_seconds 3.4);
-        let alive = Reincarnation.alive_check (Host.rs h) in
-        judge ~case ~alive ~armed_left:(Component.armed_crash comp)
-          ~check_leaks:alive v
-      in
-      Mcheck.search ?budget ~cases ~run ())
+            S.default_config with
+            S.seed;
+            shards = 2;
+            ip_replicas = 2;
+            pf_shards = 2;
+            pf_rules = Some [ Newt_pf.Rule.pass_all ];
+          };
+        sharded = true;
+        flows = 4;
+        traffic_until = 0.8;
+        kill_at = 0.3;
+        run_until = 1.5;
+        drained = false;
+      }
 
-(* The {!Host.sabotage} defects, transplanted onto the sharded stack:
-   the same two recovery lies, installed on member 0 of the victim's
-   replica set (the negative control for the sharded re-checks). *)
-let sabotage_sharded s (comp : Host.component) (kind : Host.sabotage) =
+(* Every supervised member with its labeled recovery steps (the
+   SYSCALL server is not part of the restart story, Section V-D). *)
+let crash_points ?(seed = 42) config =
   let module S = Newt_scale.Sharded_stack in
-  let victim =
-    match comp with
-    | Host.C_tcp -> (S.tcp_components s).(0)
-    | Host.C_ip -> (S.ip_components s).(0)
-    | Host.C_pf ->
-        if S.pf_shard_count s = 0 then
-          invalid_arg "sabotage_sharded: this stack runs without a filter"
-        else (S.pf_components s).(0)
-    | _ -> invalid_arg "sabotage_sharded: only tcp, ip and pf supported"
-  in
-  match kind with
-  | Host.Wrong_core ->
-      (* Land the reincarnated server on a core that already runs a
-         component it shares a channel with, so the core-affinity
-         re-check must flag it. *)
-      let occupied =
-        Component.core
-          (if comp = Host.C_ip then (S.tcp_components s).(0)
-           else (S.ip_components s).(0))
-      in
-      Component.on_restarted victim (fun () -> Component.migrate victim occupied)
-  | Host.Skip_republish ->
-      Component.on_restarted victim (fun () ->
-          match Component.exports victim with
-          | (key, _) :: _ ->
-              Newt_channels.Pubsub.publish (S.directory s) ~key
-                ~creator:(Component.pid victim) ~chan_id:(-1)
-          | [] -> ())
+  let s = S.create ~config:(mcheck_world ~seed config).stack () in
+  List.filter_map
+    (fun c ->
+      if c == S.sc_component s then None
+      else Some (Component.name c, Component.recovery_steps c))
+    (S.components s)
 
-let mcheck_sharded ?budget ?(shards = 2) ?(ip_replicas = 2) ?(pf_shards = 2)
-    ?break_recovery () =
+let mcheck ?budget ?(seed = 42) ?break_recovery config =
   let module S = Newt_scale.Sharded_stack in
-  let pf_shards = min pf_shards shards in
-  let config =
-    {
-      S.default_config with
-      S.shards;
-      ip_replicas;
-      pf_shards;
-      pf_rules = Some [ Newt_pf.Rule.pass_all ];
-    }
-  in
-  let labelled comps =
-    Array.to_list
-      (Array.map
-         (fun c -> (Component.name c, Component.recovery_steps c))
-         comps)
-  in
-  let cases =
-    let probe = S.create ~config () in
-    Mcheck.enumerate
-      (labelled (S.tcp_components probe)
-      @ labelled (S.ip_components probe)
-      @ labelled (S.pf_components probe))
-  in
+  let w = mcheck_world ~seed config in
+  let cases = Mcheck.enumerate (crash_points ~seed config) in
   Checker.with_checkers [ (module Protocol); (module Sanitizer) ] (fun () ->
       let run (case : Mcheck.case) =
-        let s = S.create ~config () in
-        Option.iter (fun (c, k) -> sabotage_sharded s c k) break_recovery;
+        let s = S.create ~config:w.stack () in
         let v = Continuous.create () in
-        S.on_reincarnated s (fun comp ->
-            Continuous.recheck v (fun () ->
-                Static.check ~directory:(S.directory s)
-                  ~sharding:(sharded_spec s)
-                  ~title:
-                    (Printf.sprintf "mcheck N=%d r=%d pf=%d: after %s restart"
-                       shards ip_replicas pf_shards (Component.name comp))
-                  (S.components s)));
-        let find arr =
-          let found = ref None in
-          Array.iteri
-            (fun i c ->
-              if Component.name c = case.Mcheck.component then found := Some i)
-            arr;
-          !found
-        in
-        let comp, kill =
-          match find (S.tcp_components s) with
-          | Some i -> ((S.tcp_components s).(i), fun () -> S.kill_shard s i)
-          | None -> (
-              match find (S.ip_components s) with
-              | Some i ->
-                  ((S.ip_components s).(i), fun () -> S.kill_ip_replica s i)
-              | None -> (
-                  match find (S.pf_components s) with
-                  | Some i ->
-                      ((S.pf_components s).(i), fun () -> S.kill_pf_shard s i)
-                  | None -> invalid_arg "mcheck_sharded: unknown component"))
-        in
-        let flows = 4 in
-        for i = 0 to flows - 1 do
+        recheck_after_restarts ~sharded:w.sharded v s ~title:"mcheck";
+        Option.iter (fun (c, k) -> sabotage s c k) break_recovery;
+        for i = 0 to w.flows - 1 do
           Sink.sink_tcp (S.sink s) ~port:(5001 + i) ~on_bytes:(fun ~at:_ _ -> ())
         done;
-        let _ =
-          List.init flows (fun i ->
-              Apps.Iperf.start (S.machine s) ~sc:(S.sc s) ~app:(S.app s)
-                ~dst:(S.sink_addr s) ~port:(5001 + i)
-                ~until:(Time.of_seconds 0.8) ())
+        for i = 0 to w.flows - 1 do
+          ignore
+            (Apps.Iperf.start (S.machine s) ~sc:(S.sc s) ~app:(S.app s)
+               ~dst:(S.sink_addr s) ~port:(5001 + i)
+               ~until:(Time.of_seconds w.traffic_until) ())
+        done;
+        let comp =
+          List.find (fun c -> Component.name c = case.Mcheck.component) (S.components s)
         in
         Component.arm_crash_after comp ~step:case.Mcheck.step;
-        S.at s (Time.of_seconds 0.3) kill;
-        S.run s ~until:(Time.of_seconds 1.5);
-        let alive = List.for_all Component.alive (S.components s) in
-        (* The multi-flow tail is not guaranteed to drain in the short
-           window, so no leak/obligation accounting here — convergence,
-           re-checks and hard protocol violations still gate. *)
+        S.at s (Time.of_seconds w.kill_at) (fun () -> S.kill s comp);
+        S.run s ~until:(Time.of_seconds w.run_until);
+        let alive = Reincarnation.alive_check (S.rs s) in
         judge ~case ~alive ~armed_left:(Component.armed_crash comp)
-          ~check_leaks:false v
+          ~check_leaks:(w.drained && alive) v
       in
       Mcheck.search ?budget ~cases ~run ())

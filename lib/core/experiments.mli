@@ -55,6 +55,16 @@ val minix_event_sim : ?duration:float -> unit -> minix_result
     one packet per driver round trip. The ~hundred-megabit ceiling is
     emergent. *)
 
+(** {1 Recovery sabotage} *)
+
+val sabotage :
+  Newt_scale.Sharded_stack.t -> Host.component -> Host.sabotage -> unit
+(** Install a {!Host.sabotage} defect on member 0 of the component's
+    plane ({!Host.member}) of any stack configuration: every future
+    restart of that member comes up on another component's core
+    ([Wrong_core]: IP's, or TCP's when the victim is IP) or loses the
+    directory republish of its first export ([Skip_republish]). *)
+
 (** {1 Figures 4 and 5 — bitrate across crashes} *)
 
 type crash_trace = {
@@ -165,7 +175,7 @@ val fault_campaign :
     post-restart topology after each reincarnation and closes with
     [Continuous.end_run] (leak-checked unless the run ended frozen).
     [break_recovery] installs a deliberate recovery defect
-    ({!Host.sabotage}) on the named component in every run — the
+    ({!sabotage}) on the named component in every run — the
     continuous checker, not the traffic, is what must catch it.
     [pf_shards] (default 1) runs every host with a sharded packet
     filter; the per-shard verdict totals land in [pf_counters]. *)
@@ -255,6 +265,18 @@ val sharded_spec : Newt_scale.Sharded_stack.t -> Newt_verify.Static.sharding
 (** The sharding-affinity description of a wired sharded host, for
     {!Newt_verify.Static.check}. *)
 
+val recheck_after_restarts :
+  ?sharded:bool ->
+  Newt_verify.Continuous.t ->
+  Newt_scale.Sharded_stack.t ->
+  title:string ->
+  unit
+(** Continuous verification: re-run the static channel-graph checker
+    against the live topology after every reincarnation (with the
+    {!sharded_spec} affinity checks when [sharded]), so a recovery that
+    comes up on the wrong core or loses a republish is caught the
+    moment it happens. *)
+
 val verify_configs : ?max_shards:int -> unit -> Newt_verify.Report.t list
 (** Wire every shipped stack configuration — the split single-instance
     stack plus every sharded variant (N = 1..[max_shards] shards × 1
@@ -303,47 +325,34 @@ val protocol_pf_crash :
 
 (** {1 Recovery model checking — exhaustive crash-point search} *)
 
-val split_crash_points : unit -> (string * string list) list
-(** The split stack's (component × labeled recovery steps) space:
-    every killable component of a {!Host} with its
+(** The two configurations the search runs over, both built by
+    {!Newt_scale.Sharded_stack}: the split stack ({!Host}'s 1×1×1
+    configuration, one flow, a 0.2 s device reset, a drained tail) and
+    the sharded stack (N=2 shards × r=2 IP replicas × pf=2 PF shards,
+    four flows, re-checked with its sharding spec). *)
+type mcheck_config = Split | Sharded
+
+val crash_points : ?seed:int -> mcheck_config -> (string * string list) list
+(** The configuration's (component × labeled recovery steps) space:
+    every supervised member (all but the SYSCALL server) with its
     {!Newt_stack.Component.recovery_steps}. *)
 
-val mcheck_split :
+val mcheck :
   ?budget:float ->
   ?seed:int ->
   ?break_recovery:Host.component * Host.sabotage ->
-  unit ->
+  mcheck_config ->
   Newt_verify.Mcheck.outcome
-(** Model-check the split stack's recovery: for every crash point of
-    {!split_crash_points}, boot a fresh host under an iperf load, kill
-    the component at 0.6 s with the one-shot injector armed so it dies
-    again right after the named recovery step, and judge convergence —
-    reincarnation reports every component responsive, the continuous
-    verifier (static re-checks, sanitizer, leak accounting on the
-    drained tail) is clean, and the protocol checker holds no open
-    obligations. [break_recovery] sabotages a component's recovery
-    ({!Host.sabotage}) in every case; the affected crash points must
-    then surface as counterexamples carrying the protocol event trace.
-    [budget] caps the search in CPU seconds (remaining cases are
-    reported as skipped). *)
-
-val mcheck_sharded :
-  ?budget:float ->
-  ?shards:int ->
-  ?ip_replicas:int ->
-  ?pf_shards:int ->
-  ?break_recovery:Host.component * Host.sabotage ->
-  unit ->
-  Newt_verify.Mcheck.outcome
-(** The same search over a sharded stack (default N=2 shards × r=2 IP
-    replicas × pf=2 PF shards, capped at [min pf_shards shards]): every
-    TCP shard, IP replica and PF shard crashed at every labeled
-    recovery step — for a PF shard that includes its rules replay and
-    conntrack re-track steps — under a multi-flow load, with the
-    sharded topology (including RSS affinity and the PF partition)
-    re-checked after each restart. [break_recovery] transplants the
-    {!Host.sabotage} defect onto member 0 of the named component's
-    replica set (tcp, ip or pf) — the sabotaged crash points must
-    surface as counterexamples. The short multi-flow tail is not
-    guaranteed to drain, so leak/obligation accounting is off;
-    convergence, re-checks and hard protocol violations still gate. *)
+(** Model-check a configuration's recovery: for every crash point of
+    {!crash_points}, boot a fresh stack on [seed] (default 42) under
+    iperf load, kill the component with the one-shot injector armed so
+    it dies again right after the named recovery step, and judge
+    convergence — the reincarnation server reports every member
+    responsive, the continuous verifier (static re-checks after every
+    restart, sanitizer, and on the split stack's drained tail leak
+    accounting) is clean, and the protocol checker holds no open
+    obligations. [break_recovery] installs the {!sabotage} defect in
+    every case; the affected crash points must then surface as
+    counterexamples carrying the protocol event trace. [budget] caps
+    the search in CPU seconds (remaining cases are reported as
+    skipped). *)

@@ -1,18 +1,12 @@
 module Engine = Newt_sim.Engine
 module Time = Newt_sim.Time
-module Trace = Newt_sim.Trace
 module Machine = Newt_hw.Machine
-module Registry = Newt_channels.Registry
-module Sim_chan = Newt_channels.Sim_chan
 module Addr = Newt_net.Addr
 module Tcp = Newt_net.Tcp
-module Link = Newt_nic.Link
-module E1000 = Newt_nic.E1000
+module Mq = Newt_nic.Mq_e1000
 module Rule = Newt_pf.Rule
 module Proc = Newt_stack.Proc
 module Component = Newt_stack.Component
-module Msg = Newt_stack.Msg
-module Drv_srv = Newt_stack.Drv_srv
 module Ip_srv = Newt_stack.Ip_srv
 module Pf_srv = Newt_stack.Pf_srv
 module Tcp_srv = Newt_stack.Tcp_srv
@@ -22,6 +16,7 @@ module Sink = Newt_stack.Sink
 module Storage = Newt_reliability.Storage
 module Reincarnation = Newt_reliability.Reincarnation
 module Fault_inject = Newt_reliability.Fault_inject
+module S = Newt_scale.Sharded_stack
 
 type component = C_tcp | C_udp | C_ip | C_pf | C_drv of int
 
@@ -38,10 +33,7 @@ type config = {
   nics : int;
   pf_rules : Rule.t list;
   pf_shards : int;
-  tcp_config : Tcp.config option;
   nic_reset_time : Time.cycles;
-  heartbeat_period : Time.cycles;
-  restart_delay : Time.cycles;
   app_cores : int;
   coalesce_drivers : bool;
 }
@@ -53,35 +45,30 @@ let default_config =
     nics = 1;
     pf_rules = [ Rule.pass_all ];
     pf_shards = 1;
-    tcp_config = None;
     nic_reset_time = Time.of_seconds 1.2;
-    heartbeat_period = Component.Defaults.heartbeat_period;
-    restart_delay = Component.Defaults.restart_delay;
     app_cores = 2;
     coalesce_drivers = false;
   }
 
+let stack_config (c : config) =
+  {
+    S.seed = c.seed;
+    costs = c.costs;
+    shards = 1;
+    ip_replicas = 1;
+    pf_shards = c.pf_shards;
+    nics = c.nics;
+    coalesce_drivers = c.coalesce_drivers;
+    device = Mq.E1000;
+    link_gbps = 1.0;
+    pf_rules = Some c.pf_rules;
+    tcp_config = None;
+    conntrack_total = 65536;
+    nic_reset_time = c.nic_reset_time;
+  }
+
 type t = {
-  config : config;
-  engine : Engine.t;
-  machine : Machine.t;
-  registry : Registry.t;
-  trace : Trace.t;
-  directory : Newt_channels.Pubsub.t;
-  storage : Storage.t;
-  rs : Reincarnation.t;
-  sc : Syscall_srv.t;
-  tcp : Tcp_srv.t;
-  udp : Udp_srv.t;
-  ip : Ip_srv.t;
-  pfs : Pf_srv.t array;
-  pf_comps : Component.t array;
-  drvs : Drv_srv.t array;
-  nics : E1000.t array;
-  links : Link.t array;
-  sinks : Sink.t array;
-  sc_comp : Component.t;
-  comps : (component * Component.t) list;
+  stack : S.t;
   app_cores : Newt_hw.Cpu.t array;
   mutable next_app : int;
   mutable next_app_pid : int;
@@ -91,40 +78,35 @@ type t = {
   mutable broken_next_restart : component list;
 }
 
-let engine t = t.engine
-let machine t = t.machine
-let sc t = t.sc
-let tcp_srv t = t.tcp
-let udp_srv t = t.udp
-let ip_srv t = t.ip
-let pf_srv t = t.pfs.(0)
-let pf_shard_srv t j = t.pfs.(j)
-let pf_shard_count t = Array.length t.pfs
-let rs t = t.rs
-let storage t = t.storage
-let nic t i = t.nics.(i)
-let link t i = t.links.(i)
-let sink t i = t.sinks.(i)
+let stack t = t.stack
+let engine t = S.engine t.stack
+let machine t = S.machine t.stack
+let sc t = S.sc t.stack
+let tcp_srv t = S.tcp_shard t.stack 0
+let udp_srv t = S.udp_srv t.stack
+let ip_srv t = S.ip_srv t.stack
+let pf_srv t = S.pf_shard t.stack 0
+let pf_shard_srv t j = S.pf_shard t.stack j
+let pf_shard_count t = S.pf_shard_count t.stack
+let rs t = S.rs t.stack
+let storage t = S.storage t.stack
+let nic t i = (S.port t.stack i).S.nic
+let link t i = (S.port t.stack i).S.link
+let sink t i = (S.port t.stack i).S.sink
 let frozen t = t.frozen
+let directory t = S.directory t.stack
+let trace t = S.trace t.stack
+let components t = S.components t.stack
 
-let directory t = t.directory
-let trace t = t.trace
+let member s = function
+  | C_tcp -> (S.tcp_components s).(0)
+  | C_udp -> S.udp_component s
+  | C_ip -> (S.ip_components s).(0)
+  | C_pf -> (S.pf_components s).(0)
+  | C_drv i -> (S.drv_components s).(i)
 
-let comp_of t comp =
-  match List.find_opt (fun (c, _) -> c = comp) t.comps with
-  | Some (_, c) -> c
-  | None -> invalid_arg "Host.comp_of: unknown component"
-
+let comp_of t comp = member t.stack comp
 let proc_of t comp = Component.proc (comp_of t comp)
-
-let components t =
-  (* [comps] names one killable component per variant, so extra PF
-     shards (index >= 1) ride along separately for the verifier. *)
-  let extra_pfs =
-    Array.to_list
-      (Array.sub t.pf_comps 1 (max 0 (Array.length t.pf_comps - 1)))
-  in
-  (t.sc_comp :: List.map snd t.comps) @ extra_pfs
 
 let local_addr _t i = Addr.Ipv4.v 10 0 i 1
 let sink_addr _t i = Addr.Ipv4.v 10 0 i 2
@@ -136,226 +118,18 @@ let app t =
   t.next_app_pid <- pid + 1;
   { Syscall_srv.app_core = core; app_pid = pid }
 
-let run t ~until = Engine.run ~until t.engine
-
-let at t when_ f =
-  ignore (Engine.schedule_at t.engine when_ f)
-
-(* {2 Construction} *)
-
-let chan_ids = ref 0
-
-(* Queue slots are cheap shared memory; size them so a full multi-flow
-   congestion-window burst (5 links x ~256 KiB of 1460-byte segments)
-   never overflows a channel — a drop costs the flow an RTO. *)
-let chan () =
-  incr chan_ids;
-  Sim_chan.create ~capacity:8192 ~id:!chan_ids ()
+let run t ~until = S.run t.stack ~until
+let at t when_ f = S.at t.stack when_ f
 
 let create ?(config = default_config) () =
-  if config.pf_shards < 1 then invalid_arg "Host.create: pf_shards < 1";
-  let np = config.pf_shards in
-  let pf_name j = if np = 1 then "pf" else Printf.sprintf "pf%d" j in
-  let engine = Engine.create ~seed:config.seed () in
-  let machine = Machine.create ~costs:config.costs engine in
-  let registry = Registry.create () in
-  let trace = Trace.create () in
-  let directory = Newt_channels.Pubsub.create () in
-  let storage = Storage.create () in
-  (* Cores: one dedicated per OS component (Figure 1). *)
-  let sc_core = Machine.add_dedicated_core machine in
-  let tcp_core = Machine.add_dedicated_core machine in
-  let udp_core = Machine.add_dedicated_core machine in
-  let ip_core = Machine.add_dedicated_core machine in
-  let pf_cores = Array.init np (fun _ -> Machine.add_dedicated_core machine) in
-  let drv_cores =
-    if config.coalesce_drivers then begin
-      let shared = Machine.add_dedicated_core machine in
-      Array.make config.nics shared
-    end
-    else Array.init config.nics (fun _ -> Machine.add_dedicated_core machine)
-  in
-  let app_cores = Array.init config.app_cores (fun _ -> Machine.add_timeshared_core machine) in
-  (* Components: the generic server core, one per OS server. *)
-  let mkcomp name core =
-    Component.create machine ~name ~core ~directory ~trace ()
-  in
-  let sc_comp = mkcomp "sc" sc_core in
-  let tcp_comp = mkcomp "tcp" tcp_core in
-  let udp_comp = mkcomp "udp" udp_core in
-  let ip_comp = mkcomp "ip" ip_core in
-  let pf_comps = Array.init np (fun j -> mkcomp (pf_name j) pf_cores.(j)) in
-  let drv_comps =
-    Array.init config.nics (fun i ->
-        mkcomp (Printf.sprintf "drv%d" i) drv_cores.(i))
-  in
-  (* Devices, links and remote peers. *)
-  let links =
-    Array.init config.nics (fun _ -> Link.create engine ())
-  in
-  let nics =
-    Array.init config.nics (fun i ->
-        E1000.create engine ~registry ~link:links.(i) ~side:Link.Left
-          ~mac:(Addr.Mac.of_index (100 + i))
-          ~reset_time:config.nic_reset_time ())
-  in
-  let sinks =
-    Array.init config.nics (fun i ->
-        Sink.create engine ~link:links.(i) ~side:Link.Right
-          ~addr:(Addr.Ipv4.v 10 0 i 2)
-          ~mac:(Addr.Mac.of_index (200 + i))
-          ())
-  in
-  (* Servers: pure message handlers on top of their component. *)
-  let view name = Storage.owner_view storage ~owner:name in
-  let save_ip, load_ip = view "ip" in
-  let save_tcp, load_tcp = view "tcp" in
-  let save_udp, load_udp = view "udp" in
-  let sc_srv = Syscall_srv.create sc_comp () in
-  let tcp_srv =
-    Tcp_srv.create tcp_comp ~registry ~local_addr:(Addr.Ipv4.v 10 0 0 1)
-      ?tcp_config:config.tcp_config ~save:save_tcp ~load:load_tcp ()
-  in
-  let udp_srv =
-    Udp_srv.create udp_comp ~registry ~local_addr:(Addr.Ipv4.v 10 0 0 1)
-      ~save:save_udp ~load:load_udp ()
-  in
-  let ip_srv =
-    Ip_srv.create ip_comp ~registry ~save:save_ip ~load:load_ip ()
-  in
-  (* PF shards partition the conntrack table by the same symmetric flow
-     hash that steers packets to them; one shard keeps the seed stack's
-     exact behaviour (name "pf", default table size, owns everything). *)
-  let pf_map = Newt_scale.Shard_map.create ~seed:config.seed ~shards:np () in
-  let pf_steer ~src ~sport ~dst ~dport =
-    Newt_scale.Shard_map.shard_of pf_map ~src ~sport ~dst ~dport
-  in
-  let pf_srvs =
-    Array.init np (fun j ->
-        let save_pf, load_pf = view (pf_name j) in
-        let owns (f : Newt_pf.Conntrack.flow) =
-          np <= 1
-          || pf_steer ~src:f.Newt_pf.Conntrack.local_ip
-               ~sport:f.Newt_pf.Conntrack.local_port
-               ~dst:f.Newt_pf.Conntrack.remote_ip
-               ~dport:f.Newt_pf.Conntrack.remote_port
-             = j
-        in
-        Pf_srv.create pf_comps.(j) ~save:save_pf ~load:load_pf
-          ~max_entries:(max 1 (65536 / np))
-          ~owns ())
-  in
-  let drvs =
-    Array.init config.nics (fun i ->
-        Drv_srv.create drv_comps.(i) ~nic:nics.(i) ())
-  in
-  (* Channels, per Figure 3, exported through the consuming component
-     so they are published in the directory under meaningful keys
-     (Section IV-C) and republished after every restart of their
-     consumer (Section IV-D). *)
-  let export comp key c =
-    Component.export comp ~key c;
-    c
-  in
-  (* With one shard the keys stay exactly "ip.to_pf"/"pf.to_ip". *)
-  let pf_pairs =
-    Array.init np (fun j ->
-        let to_pf =
-          export pf_comps.(j) (Printf.sprintf "ip.to_%s" (pf_name j)) (chan ())
-        and from_pf =
-          export ip_comp (Printf.sprintf "%s.to_ip" (pf_name j)) (chan ())
-        in
-        Pf_srv.connect_ip pf_srvs.(j) ~from_ip:to_pf ~to_ip:from_pf;
-        (to_pf, from_pf))
-  in
-  Ip_srv.connect_pf_sharded ip_srv ~steer:pf_steer ~pairs:pf_pairs;
-  let ch_tcp_to_ip = export ip_comp "tcp.to_ip" (chan ())
-  and ch_ip_to_tcp = export tcp_comp "ip.to_tcp" (chan ()) in
-  Ip_srv.connect_transport ip_srv ~proto:`Tcp ~from_transport:ch_tcp_to_ip
-    ~to_transport:ch_ip_to_tcp;
-  Tcp_srv.connect_ip tcp_srv ~to_ip:ch_tcp_to_ip ~from_ip:ch_ip_to_tcp;
-  let ch_udp_to_ip = export ip_comp "udp.to_ip" (chan ())
-  and ch_ip_to_udp = export udp_comp "ip.to_udp" (chan ()) in
-  Ip_srv.connect_transport ip_srv ~proto:`Udp ~from_transport:ch_udp_to_ip
-    ~to_transport:ch_ip_to_udp;
-  Udp_srv.connect_ip udp_srv ~to_ip:ch_udp_to_ip ~from_ip:ch_ip_to_udp;
-  let ch_sc_to_tcp = export tcp_comp "sc.to_tcp" (chan ())
-  and ch_tcp_to_sc = export sc_comp "tcp.to_sc" (chan ()) in
-  Syscall_srv.connect_transport sc_srv ~transport:`Tcp ~to_transport:ch_sc_to_tcp
-    ~from_transport:ch_tcp_to_sc;
-  Tcp_srv.connect_sc tcp_srv ~from_sc:ch_sc_to_tcp ~to_sc:ch_tcp_to_sc;
-  let ch_sc_to_udp = export udp_comp "sc.to_udp" (chan ())
-  and ch_udp_to_sc = export sc_comp "udp.to_sc" (chan ()) in
-  Syscall_srv.connect_transport sc_srv ~transport:`Udp ~to_transport:ch_sc_to_udp
-    ~from_transport:ch_udp_to_sc;
-  Udp_srv.connect_sc udp_srv ~from_sc:ch_sc_to_udp ~to_sc:ch_udp_to_sc;
-  (* Interfaces, addresses, routes, static neighbours. *)
-  Array.iteri
-    (fun i drv ->
-      let tx_chan = export drv_comps.(i) (Printf.sprintf "ip.to_drv%d" i) (chan ())
-      and rx_chan = export ip_comp (Printf.sprintf "drv%d.to_ip" i) (chan ()) in
-      let iface =
-        Ip_srv.add_iface ip_srv
-          {
-            Ip_srv.addr = Addr.Ipv4.v 10 0 i 1;
-            netmask_bits = 24;
-            mac = E1000.mac nics.(i);
-          }
-          ~drv ~tx_chan ~rx_chan
-      in
-      Ip_srv.add_route ip_srv ~prefix:(Addr.Ipv4.v 10 0 i 0) ~bits:24 ~iface
-        ~gateway:None;
-      Ip_srv.add_neighbor ip_srv ~iface (Addr.Ipv4.v 10 0 i 2)
-        (Addr.Mac.of_index (200 + i)))
-    drvs;
-  (* Multihoming: transports pick the source address of the interface
-     the route uses. *)
-  let src_select dst =
-    match Ip_srv.src_addr_for ip_srv dst with
-    | Some a -> a
-    | None -> Addr.Ipv4.v 10 0 0 1
-  in
-  Tcp_srv.set_src_select tcp_srv src_select;
-  Udp_srv.set_src_select udp_srv src_select;
-  (* The filter configuration — one ruleset on every shard. *)
-  Array.iter
-    (fun pf ->
-      Pf_srv.set_rules pf config.pf_rules;
-      Pf_srv.set_conntrack_sources pf
-        ~tcp:(fun () -> Tcp_srv.conntrack_flows tcp_srv)
-        ~udp:(fun () -> Udp_srv.conntrack_flows udp_srv))
-    pf_srvs;
+  if config.app_cores <= 0 then invalid_arg "Host.create: app_cores must be positive";
+  let stack = S.create ~config:(stack_config config) () in
   let t =
     {
-      config;
-      engine;
-      machine;
-      registry;
-      trace;
-      directory;
-      storage;
-      rs = Reincarnation.create machine ~heartbeat_period:config.heartbeat_period
-          ~restart_delay:config.restart_delay ();
-      sc = sc_srv;
-      tcp = tcp_srv;
-      udp = udp_srv;
-      ip = ip_srv;
-      pfs = pf_srvs;
-      pf_comps;
-      drvs;
-      nics;
-      links;
-      sinks;
-      sc_comp;
-      comps =
-        [
-          (C_tcp, tcp_comp);
-          (C_udp, udp_comp);
-          (C_ip, ip_comp);
-          (C_pf, pf_comps.(0));
-        ]
-        @ Array.to_list (Array.mapi (fun i c -> (C_drv i, c)) drv_comps);
-      app_cores;
+      stack;
+      app_cores =
+        Array.init config.app_cores (fun _ ->
+            Machine.add_timeshared_core (S.machine stack));
       next_app = 0;
       next_app_pid = 10_000;
       frozen = false;
@@ -373,87 +147,29 @@ let create ?(config = default_config) () =
   (* The broken-recovery hooks run after the server's own recovery (the
      component comes up, but its restored state is bad — Section VI-B's
      manual-restart cases). Hook registration order guarantees this:
-     the servers registered their recovery at [create]. *)
-  Component.on_restart tcp_comp (fun ~fresh:_ ->
+     the servers registered their recovery when the stack was built. *)
+  Component.on_restart (comp_of t C_tcp) (fun ~fresh:_ ->
       if broken C_tcp then begin
-        let eng = Tcp_srv.engine tcp_srv in
+        let eng = Tcp_srv.engine (tcp_srv t) in
         List.iter (fun port -> Tcp.unlisten eng ~port) (Tcp.listening_ports eng)
       end);
-  Component.on_restart ip_comp (fun ~fresh:_ ->
-      if broken C_ip then Ip_srv.clear_routes ip_srv);
-  Array.iteri
-    (fun i _drv ->
-      Component.on_restart drv_comps.(i) (fun ~fresh:_ ->
-          if broken (C_drv i) then E1000.misconfigure nics.(i)))
-    drvs;
-  (* Supervision with neighbour notifications (Section IV-D). *)
-  Reincarnation.watch t.rs tcp_comp
-    ~notify_crash:[ (fun () -> Ip_srv.on_transport_crash ip_srv ~proto:`Tcp) ]
-    ~notify_restart:[ (fun () -> Syscall_srv.on_transport_restart sc_srv ~transport:`Tcp) ]
-    ();
-  Reincarnation.watch t.rs udp_comp
-    ~notify_crash:[ (fun () -> Ip_srv.on_transport_crash ip_srv ~proto:`Udp) ]
-    ~notify_restart:[ (fun () -> Syscall_srv.on_transport_restart sc_srv ~transport:`Udp) ]
-    ();
-  Reincarnation.watch t.rs ip_comp
-    ~notify_crash:
-      [ (fun () -> Tcp_srv.on_ip_crash tcp_srv); (fun () -> Udp_srv.on_ip_crash udp_srv) ]
-    ~notify_restart:
-      [
-        (fun () -> Tcp_srv.on_ip_restart tcp_srv);
-        (fun () -> Udp_srv.on_ip_restart udp_srv);
-      ]
-    ();
-  Array.iteri
-    (fun j c ->
-      Reincarnation.watch t.rs c
-        ~notify_crash:[ (fun () -> Ip_srv.on_pf_crash ~shard:j ip_srv) ]
-        ~notify_restart:[ (fun () -> Ip_srv.on_pf_restart ~shard:j ip_srv) ]
-        ())
-    pf_comps;
-  Array.iteri
-    (fun i c ->
-      Reincarnation.watch t.rs c
-        ~notify_crash:[ (fun () -> Ip_srv.on_drv_crash ip_srv ~iface:i) ]
-        ~notify_restart:[ (fun () -> Ip_srv.on_drv_restart ip_srv ~iface:i) ]
-        ())
-    drv_comps;
-  Reincarnation.start t.rs;
+  Component.on_restart (comp_of t C_ip) (fun ~fresh:_ ->
+      if broken C_ip then Ip_srv.clear_routes (ip_srv t));
+  for i = 0 to config.nics - 1 do
+    Component.on_restart (comp_of t (C_drv i)) (fun ~fresh:_ ->
+        if broken (C_drv i) then Mq.misconfigure (nic t i))
+  done;
   t
 
 (* {2 Continuous verification} *)
 
-let on_reincarnated t f = Reincarnation.set_on_reincarnated t.rs f
+let on_reincarnated t f = S.on_reincarnated t.stack f
 
 type sabotage = Wrong_core | Skip_republish
 
-let sabotage t comp kind =
-  let c = comp_of t comp in
-  match kind with
-  | Wrong_core ->
-      (* Recovery brings the server up on a core that already runs
-         another component — the core-affinity re-check must flag it.
-         Land on IP's core (every server has a channel with IP), or on
-         TCP's when the victim is IP itself. *)
-      let victim_core =
-        Component.core (comp_of t (if comp = C_ip then C_tcp else C_ip))
-      in
-      Component.on_restarted c (fun () -> Component.migrate c victim_core)
-  | Skip_republish ->
-      (* Recovery loses the republish: overwrite the first export with
-         a dangling chan_id, so directory lookups no longer match the
-         wired channel. A pure metadata lie — peers keep their attached
-         endpoints, so only the republish re-check can catch it. *)
-      Component.on_restarted c (fun () ->
-          match Component.exports c with
-          | (key, _) :: _ ->
-              Newt_channels.Pubsub.publish t.directory ~key
-                ~creator:(Component.pid c) ~chan_id:(-1)
-          | [] -> ())
-
 (* {2 Faults} *)
 
-let kill_component t comp = Reincarnation.kill t.rs (comp_of t comp)
+let kill_component t comp = S.kill t.stack (comp_of t comp)
 let hang_component t comp = Component.hang (comp_of t comp)
 
 let component_of_target = function
@@ -473,26 +189,24 @@ let live_update t comp =
   let p = proc_of t comp in
   Proc.begin_update p;
   ignore
-    (Engine.schedule t.engine (Time.of_seconds 0.05) (fun () ->
+    (Engine.schedule (engine t) (Time.of_seconds 0.05) (fun () ->
          Proc.finish_update p))
 
 let crash_storage t =
-  Storage.crash t.storage;
+  Storage.crash (storage t);
   (* The restarted storage server announces itself; every component
      persists its state anew. *)
-  Ip_srv.repersist t.ip;
-  Array.iter Pf_srv.repersist t.pfs;
-  Tcp_srv.repersist t.tcp;
-  Udp_srv.repersist t.udp
+  Ip_srv.repersist (ip_srv t);
+  for j = 0 to pf_shard_count t - 1 do
+    Pf_srv.repersist (pf_shard_srv t j)
+  done;
+  Tcp_srv.repersist (tcp_srv t);
+  Udp_srv.repersist (udp_srv t)
 
-let manual_restart t comp =
-  (match comp with
-  | C_drv i ->
-      (* Restarting the driver resets the device, which also clears a
-         misconfiguration (Section VI-B). *)
-      ignore i
-  | C_tcp | C_udp | C_ip | C_pf -> ());
-  kill_component t comp
+(* Restarting a driver resets its device, which also clears a
+   misconfiguration (Section VI-B); every other component's restart is
+   its recovery procedure. *)
+let manual_restart t comp = kill_component t comp
 
 let inject t (inj : Fault_inject.injection) =
   let comp = component_of_target inj.Fault_inject.target in
@@ -501,7 +215,7 @@ let inject t (inj : Fault_inject.injection) =
   | Fault_inject.Hang -> hang_component t comp
   | Fault_inject.Misconfigure_device -> (
       match comp with
-      | C_drv i -> E1000.misconfigure t.nics.(i)
+      | C_drv i -> Mq.misconfigure (nic t i)
       | C_tcp | C_udp | C_ip | C_pf -> kill_component t comp)
   | Fault_inject.Broken_recovery ->
       t.broken_next_restart <- comp :: t.broken_next_restart;
@@ -511,14 +225,14 @@ let inject t (inj : Fault_inject.injection) =
          the system (the select/file-descriptor merge): everything
          stalls; only a reboot helps (3 runs in Section VI-B). *)
       t.frozen <- true;
-      Proc.hang (Syscall_srv.proc t.sc)
+      Proc.hang (Syscall_srv.proc (sc t))
 
-let restarts_of t comp = Reincarnation.restarts_of t.rs (comp_of t comp)
+let restarts_of t comp = S.restarts_of t.stack (comp_of t comp)
 
 (* {2 Probes} *)
 
 let probe_reachable t ?(via = 0) ~port ~timeout k =
-  let sink = t.sinks.(via) in
+  let sink = sink t via in
   let pcb = Sink.connect sink ~dst:(local_addr t via) ~dst_port:port in
   let answered = ref false in
   Tcp.set_handler pcb (fun ev ->
@@ -536,7 +250,7 @@ let probe_reachable t ?(via = 0) ~port ~timeout k =
           end
       | Tcp.Accepted | Tcp.Readable | Tcp.Writable | Tcp.Closed_normally -> ());
   ignore
-    (Engine.schedule t.engine timeout (fun () ->
+    (Engine.schedule (engine t) timeout (fun () ->
          if not !answered then begin
            answered := true;
            Tcp.abort pcb;

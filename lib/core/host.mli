@@ -1,12 +1,15 @@
 (** A complete NewtOS host under test, wired to ideal remote peers.
 
-    This is the library's top-level entry point: it builds the machine
-    (one dedicated core per OS component, timeshared application cores),
-    the full split networking stack of Figure 3 (SYSCALL, TCP, UDP, IP,
-    PF, one driver per NIC), the e1000-style devices and gigabit links,
-    an ideal remote host on the far side of every link, the storage
-    server, and the reincarnation server supervising every stack
-    component with the right neighbour-notification hooks.
+    This is the library's top-level entry point in the paper's
+    vocabulary. The machine (one dedicated core per OS component), the
+    full split networking stack of Figure 3 (SYSCALL, TCP, UDP, IP, PF,
+    one driver per NIC), the e1000 devices and gigabit links, an ideal
+    remote host on the far side of every link, the storage server, and
+    the reincarnation server supervising every stack component are the
+    1×1×1 configuration of {!Newt_scale.Sharded_stack} ({!stack_config}
+    is the translation). The host adds what the paper's evaluation
+    speaks about: the components by name ({!component}), timeshared
+    application cores, and the fault classes of the injection campaign.
 
     Fault injection enters through {!inject} (or the lower-level
     {!kill_component}); recovery then unfolds through the reincarnation
@@ -31,13 +34,10 @@ type config = {
           directions — to the owning shard from its IP header. 1
           reproduces the singleton filter exactly (name ["pf"], keys
           ["ip.to_pf"]/["pf.to_ip"]). *)
-  tcp_config : Newt_net.Tcp.config option;
   nic_reset_time : Newt_sim.Time.cycles;
       (** Link retraining time after a device reset (the Figure 4
           gap). *)
-  heartbeat_period : Newt_sim.Time.cycles;
-  restart_delay : Newt_sim.Time.cycles;
-  app_cores : int;
+  app_cores : int;  (** Timeshared application cores (>= 1). *)
   coalesce_drivers : bool;
       (** Run all drivers on one dedicated core (Section VI-A: "to
           evaluate scalability ... we also used one driver for all
@@ -47,12 +47,27 @@ type config = {
 }
 
 val default_config : config
-(** Seed 42, 1 NIC, pass-all filter, 1.2 s NIC reset, 100 ms
-    heartbeats, 120 ms restarts, 2 app cores. *)
+(** Seed 42, 1 NIC, pass-all filter, 1.2 s NIC reset, 2 app cores.
+    Heartbeats and restart delays are the paper's
+    ({!Newt_stack.Component.Defaults}). *)
+
+val stack_config : config -> Newt_scale.Sharded_stack.config
+(** The builder configuration of a host: every plane at size 1 (the
+    filter at [pf_shards]), [nics] ports with the e1000 device profile
+    on 1 Gbps links. *)
 
 type t
 
 val create : ?config:config -> unit -> t
+(** Raises [Invalid_argument] when [nics] or [app_cores] is not
+    positive. *)
+
+val stack : t -> Newt_scale.Sharded_stack.t
+(** The stack the host runs on. *)
+
+val member : Newt_scale.Sharded_stack.t -> component -> Newt_stack.Component.t
+(** The plane member a paper component names, on any stack: member 0
+    of the TCP, UDP, IP or PF plane, or port [i]'s driver. *)
 
 (** {1 Access} *)
 
@@ -70,7 +85,7 @@ val pf_shard_count : t -> int
 
 val rs : t -> Newt_reliability.Reincarnation.t
 val storage : t -> Newt_reliability.Storage.t
-val nic : t -> int -> Newt_nic.E1000.t
+val nic : t -> int -> Newt_nic.Mq_e1000.t
 val link : t -> int -> Newt_nic.Link.t
 val sink : t -> int -> Newt_stack.Sink.t
 
@@ -119,13 +134,11 @@ val on_reincarnated : t -> (Newt_stack.Component.t -> unit) -> unit
     the continuous verifier re-checks the live topology. *)
 
 type sabotage = Wrong_core | Skip_republish
-
-val sabotage : t -> component -> sabotage -> unit
-(** Deliberately break the component's recovery procedure, for
-    verifier regression tests: [Wrong_core] makes every future restart
-    bring the server up on another component's core (trips the
-    core-affinity re-check); [Skip_republish] makes it lose the
-    directory republish of its first export (trips the republish
+(** Deliberate recovery defects for verifier regression tests
+    ({!Experiments.sabotage} installs them): [Wrong_core] makes every
+    future restart bring the server up on another component's core
+    (trips the core-affinity re-check); [Skip_republish] makes it lose
+    the directory republish of its first export (trips the republish
     re-check). Both are metadata-level breaks the traffic-level
     campaign outcomes cannot see — only the continuous checker can. *)
 
@@ -133,9 +146,6 @@ val sabotage : t -> component -> sabotage -> unit
 
 val kill_component : t -> component -> unit
 (** Crash it; the reincarnation server recovers it. *)
-
-val hang_component : t -> component -> unit
-(** Stop it from making progress; heartbeats catch and reset it. *)
 
 val component_of_injection : Newt_reliability.Fault_inject.injection -> component
 (** Which component a drawn fault lands in. *)

@@ -14,6 +14,16 @@ type tx_desc = {
   tx_cookie : int;
 }
 
+type profile = E1000 | Multi_queue
+
+let link_queue_frames = function E1000 -> 256 | Multi_queue -> 1024
+
+(* Roughly one full frame's serialization time on the profile's wire
+   (1 Gbps for the e1000, a fat multi-queue port otherwise). *)
+let tx_retry = function
+  | E1000 -> Time.of_micros 12.0
+  | Multi_queue -> Time.of_micros 2.0
+
 type rx_desc = { buf : Rich_ptr.t; rx_cookie : int }
 type rx_completion = { rx_buf : Rich_ptr.t; len : int; cookie : int }
 type irq_reason = Rx_done of int | Tx_done of int | Link_change
@@ -39,8 +49,13 @@ type t = {
   link : Link.t;
   side : Link.side;
   mac : Addr.Mac.t;
+  profile : profile;
   rss : Rss.t;
   qs : queue array;
+  (* Each queue's interrupt reasons, built once: raising one must not
+     allocate per frame. *)
+  rx_irqs : irq_reason array;
+  tx_irqs : irq_reason array;
   irq_delay : Time.cycles;
   reset_time : Time.cycles;
   mutable irq_handler : irq_reason -> unit;
@@ -48,6 +63,7 @@ type t = {
   mutable irq_scheduled : bool;
   mutable pending_irqs : irq_reason list;
   mutable unsafe : bool;
+  mutable misconfigured : bool;
   mutable link_admin_up : bool;
   (* Flow -> queue journal: the NIC half of the affinity invariant. *)
   flow_queues : (int * int * int * int, int) Hashtbl.t;
@@ -109,9 +125,11 @@ let steer t frame =
           Hashtbl.replace t.flow_queues key q);
       q
 
+(* A one-queue device has nothing to steer: skip the classification
+   and the journal, which would only allocate per frame. *)
 let on_rx t frame =
-  if not t.unsafe then begin
-    let qi = steer t frame in
+  if (not t.unsafe) && not t.misconfigured then begin
+    let qi = if Array.length t.qs = 1 then 0 else steer t frame in
     let q = t.qs.(qi) in
     if q.q_unsafe then t.rx_no_buffer <- t.rx_no_buffer + 1
     else
@@ -126,11 +144,11 @@ let on_rx t frame =
             t.rx_packets <- t.rx_packets + 1;
             q.q_rx_packets <- q.q_rx_packets + 1;
             Ring.device_complete q.rx_ring;
-            raise_irq t (Rx_done qi))
+            raise_irq t t.rx_irqs.(qi))
   end
 
-let create engine ~registry ~link ~side ~mac ~rss ?(ring_size = 256) ?irq_delay
-    ?reset_time () =
+let create engine ~registry ~link ~side ~mac ~rss ?(profile = Multi_queue)
+    ?(ring_size = 256) ?irq_delay ?reset_time () =
   let irq_delay =
     match irq_delay with Some d -> d | None -> Time.of_micros 10.0
   in
@@ -154,8 +172,11 @@ let create engine ~registry ~link ~side ~mac ~rss ?(ring_size = 256) ?irq_delay
       link;
       side;
       mac;
+      profile;
       rss;
       qs = Array.init (Rss.queues rss) (fun _ -> mk_queue ());
+      rx_irqs = Array.init (Rss.queues rss) (fun q -> Rx_done q);
+      tx_irqs = Array.init (Rss.queues rss) (fun q -> Tx_done q);
       irq_delay;
       reset_time;
       irq_handler = (fun _ -> ());
@@ -163,6 +184,7 @@ let create engine ~registry ~link ~side ~mac ~rss ?(ring_size = 256) ?irq_delay
       irq_scheduled = false;
       pending_irqs = [];
       unsafe = false;
+      misconfigured = false;
       link_admin_up = true;
       flow_queues = Hashtbl.create 64;
       violations = 0;
@@ -175,13 +197,15 @@ let create engine ~registry ~link ~side ~mac ~rss ?(ring_size = 256) ?irq_delay
   t
 
 let mac t = t.mac
+let profile t = t.profile
 let queues t = Array.length t.qs
 let rss t = t.rss
 let set_irq_handler t f = t.irq_handler <- f
 let set_rx_writer t f = t.rx_writer <- Some f
 
-(* Per-queue TX pump onto the shared wire. Retries at roughly the
-   serialization time of one full frame on the configured link rate. *)
+(* Per-queue TX pump onto the shared wire. A frame the link refuses
+   (queue full) is retried after the profile's retry interval; one the
+   link drops (down) is lost. *)
 let rec tx_pump t qi =
   let q = t.qs.(qi) in
   if t.unsafe || q.q_unsafe || not t.link_admin_up then q.tx_active <- false
@@ -209,7 +233,7 @@ and send_frames t qi desc = function
   | [] ->
       let q = t.qs.(qi) in
       Ring.device_complete q.tx_ring;
-      raise_irq t (Tx_done qi);
+      raise_irq t t.tx_irqs.(qi);
       tx_pump t qi
   | frame :: rest ->
       if Link.transmit t.link ~from:t.side frame then begin
@@ -218,7 +242,7 @@ and send_frames t qi desc = function
       end
       else if Link.is_up t.link then
         ignore
-          (Engine.schedule t.engine (Time.of_micros 2.0) (fun () ->
+          (Engine.schedule t.engine (tx_retry t.profile) (fun () ->
                send_frames t qi desc (frame :: rest)))
       else send_frames t qi desc rest
 
@@ -247,9 +271,10 @@ let reap_rx t ~queue =
       in
       Some { rx_buf = desc.buf; len; cookie = desc.rx_cookie }
 
-let tx_ring_free t ~queue = Ring.free_slots t.qs.(queue).tx_ring
 let rx_ring_free t ~queue = Ring.free_slots t.qs.(queue).rx_ring
 let mark_unsafe t = t.unsafe <- true
+let is_unsafe t = t.unsafe
+let misconfigure t = t.misconfigured <- true
 let mark_queue_unsafe t ~queue = t.qs.(queue).q_unsafe <- true
 
 (* Restart-aware per-queue recovery: reprogramming one queue's rings
@@ -274,6 +299,7 @@ let reset t =
     t.qs;
   Hashtbl.reset t.flow_queues;
   t.unsafe <- false;
+  t.misconfigured <- false;
   t.link_admin_up <- false;
   Link.set_up t.link false;
   ignore

@@ -569,7 +569,7 @@ let run (cfg : config) : result =
   let wire_to_host = chan ~capacity:4096 "drv0.wire_rx" in
   (* {3 The native driver}
 
-     Plays E1000 + Drv_srv in one component: consumes [Drv_tx],
+     Plays the device and its driver in one component: consumes [Drv_tx],
      materializes frames (scatter-gather + TSO split + checksum fill,
      the same offload engines the simulated NIC uses) and pushes them
      onto the wire; drains the inbound wire into granted RX-pool

@@ -14,7 +14,8 @@ type 'srv t = {
   mutable load_of : ('srv -> float) option;
 }
 
-let create machine ~name ?names ~members ~directory ~trace ~storage ~make () =
+let create machine ~name ?names ?core ~members ~directory ~trace ~storage ~make
+    () =
   if members <= 0 then invalid_arg "Replica_set: members must be positive";
   let name_of =
     match names with
@@ -26,9 +27,12 @@ let create machine ~name ?names ~members ~directory ~trace ~storage ~make () =
   let comps =
     Array.map
       (fun n ->
-        Component.create machine ~name:n
-          ~core:(Machine.add_dedicated_core machine)
-          ~directory ~trace ())
+        let core =
+          match core with
+          | Some c -> c
+          | None -> Machine.add_dedicated_core machine
+        in
+        Component.create machine ~name:n ~core ~directory ~trace ())
       names
   in
   let servers =
@@ -41,7 +45,6 @@ let create machine ~name ?names ~members ~directory ~trace ~storage ~make () =
   { set_name = name; names; comps; servers; rs = None; load_of = None }
 
 let size t = Array.length t.comps
-let set_name t = t.set_name
 let name t i = t.names.(i)
 let comp t i = t.comps.(i)
 let srv t i = t.servers.(i)

@@ -22,6 +22,7 @@ val create :
   Newt_hw.Machine.t ->
   name:string ->
   ?names:(int -> string) ->
+  ?core:Newt_hw.Cpu.t ->
   members:int ->
   directory:Newt_channels.Pubsub.t ->
   trace:Newt_sim.Trace.t ->
@@ -35,14 +36,14 @@ val create :
   unit ->
   'srv t
 (** [members] component servers, each created on a fresh dedicated
-    core and handed its own storage namespace (its member name).
-    Default naming: the bare [name] when [members = 1] (so a 1-member
-    set is wire-compatible with the unreplicated stack — same channel
-    keys, same storage owner), ["<name><i>"] otherwise; [?names]
-    overrides (the transport planes always index). *)
+    core — or all on [core], the driver-coalescing configuration — and
+    handed its own storage namespace (its member name). Default naming:
+    the bare [name] when [members = 1] (so a 1-member set publishes the
+    paper's Figure 3 names: same channel keys, same storage owner),
+    ["<name><i>"] otherwise; [?names] overrides (the driver plane always
+    indexes by port). *)
 
 val size : 'srv t -> int
-val set_name : 'srv t -> string
 val name : 'srv t -> int -> string
 val comp : 'srv t -> int -> Newt_stack.Component.t
 val srv : 'srv t -> int -> 'srv

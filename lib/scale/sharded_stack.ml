@@ -30,16 +30,16 @@ type config = {
   seed : int;
   costs : Newt_hw.Costs.t;
   shards : int;
-  udp_shards : int;
   ip_replicas : int;
   pf_shards : int;
+  nics : int;
+  coalesce_drivers : bool;
+  device : Mq.profile;
   link_gbps : float;
   pf_rules : Rule.t list option;
   tcp_config : Tcp.config option;
   conntrack_total : int;
   nic_reset_time : Time.cycles;
-  heartbeat_period : Time.cycles;
-  restart_delay : Time.cycles;
 }
 
 let default_config =
@@ -47,18 +47,17 @@ let default_config =
     seed = 42;
     costs = Newt_hw.Costs.default;
     shards = 4;
-    udp_shards = 1;
     ip_replicas = 1;
     pf_shards = 1;
+    nics = 1;
+    coalesce_drivers = false;
+    device = Mq.Multi_queue;
     link_gbps = 40.0;
     pf_rules = None;
     tcp_config = None;
     conntrack_total = 65536;
     nic_reset_time = Time.of_seconds 1.2;
-    heartbeat_period = Component.Defaults.heartbeat_period;
-    restart_delay = Component.Defaults.restart_delay;
   }
-
 
 (* The canonical flow key of the steering journal — the same
    canonicalization the RSS hash applies, so both directions of a flow
@@ -83,18 +82,12 @@ let mac_of_int v =
 
 let arp_key ~iface addr = Printf.sprintf "arp.%d.%s" iface (Addr.Ipv4.to_string addr)
 
-(* The PF ruleset rides the directory the same way: a publication under
-   this key is the "new configuration" broadcast — the blob itself
-   lives in the shared storage namespace, the [chan_id] carries a
-   version counter. Every PF shard applies it on publish and replays it
-   on restart. *)
-let pf_rules_key = "pf.rules"
+type port = { link : Link.t; nic : Mq.t; sink : Sink.t }
 
 type t = {
   config : config;
   engine : Engine.t;
   machine : Machine.t;
-  registry : Registry.t;
   trace : Trace.t;
   directory : Pubsub.t;
   storage : Storage.t;
@@ -106,18 +99,14 @@ type t = {
   ip_set : Ip_srv.t Replica_set.t;
   pf_set : Pf_srv.t Replica_set.t option;
   drv_set : Mq_drv_srv.t Replica_set.t;
-  nic : Mq.t;
-  link : Link.t;
-  sink : Sink.t;
+  ports : port array;
   tcp_to_ip : Msg.t Sim_chan.t array;
   ip_to_tcp : Msg.t Sim_chan.t array;
   (* [pf_chans.(k).(j)] is IP replica [k]'s (to_pf, from_pf) pair with
      PF shard [j]. *)
   pf_chans : (Msg.t Sim_chan.t * Msg.t Sim_chan.t) array array;
-  publish_pf_rules : Rule.t list -> unit;
-  (* IP's half of the affinity journal (the NIC keeps its own) —
+  (* IP's half of the affinity journal (the NICs keep their own) —
      shared by all replicas: shard affinity implies replica affinity. *)
-  steer_journal : (flow_key, int) Hashtbl.t;
   ip_violations : int ref;
   mutable next_app_pid : int;
 }
@@ -127,17 +116,23 @@ let machine t = t.machine
 let config t = t.config
 let sc t = Replica_set.srv t.sc_set 0
 let tcp_shard t i = Replica_set.srv t.tcp_set i
-let udp_shard t i = Replica_set.srv t.udp_set i
+let udp_srv t = Replica_set.srv t.udp_set 0
 let ip_srv t = Replica_set.srv t.ip_set 0
 let ip_replica t k = Replica_set.srv t.ip_set k
-let ip_replica_count t = Replica_set.size t.ip_set
-let nic t = t.nic
-let link t = t.link
-let sink t = t.sink
+let port t i = t.ports.(i)
+let nic t = t.ports.(0).nic
+let link t = t.ports.(0).link
+let sink t = t.ports.(0).sink
 let shard_map t = t.sm
 let directory t = t.directory
+let trace t = t.trace
+let storage t = t.storage
+let rs t = t.rs
+let sc_component t = Replica_set.comp t.sc_set 0
 let tcp_components t = Replica_set.comps t.tcp_set
+let udp_component t = Replica_set.comp t.udp_set 0
 let ip_components t = Replica_set.comps t.ip_set
+let drv_components t = Replica_set.comps t.drv_set
 let pf_components t =
   match t.pf_set with Some s -> Replica_set.comps s | None -> [||]
 
@@ -151,14 +146,13 @@ let pf_of t =
 
 let pf_shard t j = Replica_set.srv (pf_of t) j
 let pf_channels t = t.pf_chans
-let set_pf_rules t rules = t.publish_pf_rules rules
 
 let components t =
-  (Replica_set.comp t.sc_set 0 :: Array.to_list (pf_components t))
-  @ [ Replica_set.comp t.drv_set 0 ]
-  @ Array.to_list (Replica_set.comps t.tcp_set)
-  @ Array.to_list (Replica_set.comps t.udp_set)
-  @ Array.to_list (Replica_set.comps t.ip_set)
+  (sc_component t :: Array.to_list (tcp_components t))
+  @ [ udp_component t ]
+  @ Array.to_list (ip_components t)
+  @ Array.to_list (pf_components t)
+  @ Array.to_list (drv_components t)
 
 let tcp_channels t =
   Array.init (Array.length t.tcp_to_ip) (fun i ->
@@ -180,6 +174,8 @@ let app t =
   { Syscall_srv.app_core = core; app_pid = pid }
 
 let on_reincarnated t f = Reincarnation.set_on_reincarnated t.rs f
+let kill t comp = Reincarnation.kill t.rs comp
+let restarts_of t comp = Reincarnation.restarts_of t.rs comp
 let kill_shard t i = Replica_set.kill t.tcp_set i
 let shard_restarts t i = Replica_set.restarts t.tcp_set i
 let kill_ip_replica t k = Replica_set.kill t.ip_set k
@@ -258,12 +254,21 @@ let planes t =
   @ (match t.pf_set with Some s -> [ Replica_set.plane s ] | None -> [])
 
 let imbalance_ratio t =
-  let nic = Shard_map.imbalance ~loads:(Array.map float_of_int (Mq.rx_queue_packets t.nic)) in
+  let nics =
+    Array.fold_left
+      (fun acc p ->
+        Float.max acc
+          (Shard_map.imbalance
+             ~loads:(Array.map float_of_int (Mq.rx_queue_packets p.nic))))
+      0.0 t.ports
+  in
   List.fold_left
     (fun acc p -> Float.max acc (Replica_set.plane_imbalance p))
-    nic (planes t)
+    nics (planes t)
 
-let steering_violations t = Mq.steering_violations t.nic + !(t.ip_violations)
+let steering_violations t =
+  Array.fold_left (fun acc p -> acc + Mq.steering_violations p.nic) 0 t.ports
+  + !(t.ip_violations)
 
 let rebalance t =
   (* Project every plane's observed load — not just the TCP shards' —
@@ -272,119 +277,132 @@ let rebalance t =
   let loads = Replica_set.projected_loads ~shards:t.config.shards (planes t) in
   Shard_map.rebalance t.sm ~loads
 
-(* {2 Construction} *)
+(* {2 Construction}
+
+   The creation order is part of the stack's observable behaviour: it
+   fixes process ids, pool ids (which the verification sampler hashes)
+   and the engine's random stream. Planes are built in the paper's
+   Figure 3 order — SYSCALL, TCP, UDP, IP, PF, drivers — after the
+   ports, whose peers draw from the engine's random stream before the
+   TCP servers do. *)
 
 let create ?(config = default_config) () =
   if config.shards <= 0 then invalid_arg "Sharded_stack: shards must be positive";
-  if config.udp_shards <= 0 then
-    invalid_arg "Sharded_stack: udp_shards must be positive";
   if config.ip_replicas <= 0 || config.ip_replicas > config.shards then
     invalid_arg "Sharded_stack: need 1 <= ip_replicas <= shards";
-  if config.pf_shards <= 0 || config.pf_shards > config.shards then
-    invalid_arg "Sharded_stack: need 1 <= pf_shards <= shards";
+  if config.pf_shards <= 0 then
+    invalid_arg "Sharded_stack: pf_shards must be positive";
+  if config.nics <= 0 then invalid_arg "Sharded_stack: nics must be positive";
   let engine = Engine.create ~seed:config.seed () in
   let machine = Machine.create ~costs:config.costs engine in
   let registry = Registry.create () in
   let trace = Trace.create () in
   let directory = Pubsub.create () in
   let storage = Storage.create () in
-  let n = config.shards
-  and nu = config.udp_shards
-  and r = config.ip_replicas
-  and np = config.pf_shards in
+  let n = config.shards and r = config.ip_replicas and np = config.pf_shards in
   let sm = Shard_map.create ~seed:config.seed ~shards:n () in
-  (* One fat wire, a multi-queue device on our side, an ideal peer on
-     the other. *)
-  let link =
-    Link.create engine
-      ~bandwidth_bps:(int_of_float (config.link_gbps *. 1e9))
-      ~queue_frames:1024 ()
+  (* Port [i]: a wire, a device on our side steering onto the shards'
+     queues, and an ideal peer at 10.0.[i].2 on the other. *)
+  let links =
+    Array.init config.nics (fun _ ->
+        Link.create engine
+          ~bandwidth_bps:(int_of_float (config.link_gbps *. 1e9))
+          ~queue_frames:(Mq.link_queue_frames config.device)
+          ())
   in
-  (* Every component server of the stack is a replica set — most of
-     them 1-member sets ("sc", "mqdrv"), which is exactly the point:
-     one replication mechanism, configured per plane. Each set gives
-     its members a dedicated core and a storage namespace. *)
-  let mkset name ?names members make =
-    Replica_set.create machine ~name ?names ~members ~directory ~trace ~storage
-      ~make ()
+  let nics =
+    Array.init config.nics (fun i ->
+        Mq.create engine ~registry ~link:links.(i) ~side:Link.Left
+          ~mac:(Addr.Mac.of_index (100 + i))
+          ~rss:(Shard_map.rss sm) ~profile:config.device
+          ~reset_time:config.nic_reset_time ())
+  in
+  let ports =
+    Array.init config.nics (fun i ->
+        let sink =
+          Sink.create engine ~link:links.(i) ~side:Link.Right
+            ~addr:(Addr.Ipv4.v 10 0 i 2)
+            ~mac:(Addr.Mac.of_index (200 + i))
+            ()
+        in
+        { link = links.(i); nic = nics.(i); sink })
+  in
+  (* Every component server of the stack is a replica set — in the
+     split configuration all of them 1-member sets, which is exactly
+     the point: one replication mechanism, configured per plane. Each
+     set gives its members a dedicated core and a storage namespace. *)
+  let mkset name ?names ?core members make =
+    Replica_set.create machine ~name ?names ?core ~members ~directory ~trace
+      ~storage ~make ()
   in
   let sc_set =
     mkset "sc" 1 (fun _ comp ~save:_ ~load:_ -> Syscall_srv.create comp ())
   in
-  let ip_set =
-    mkset "ip" r (fun _ comp ~save ~load ->
-        Ip_srv.create comp ~registry ~save ~load ())
-  in
-  (* The shared flow hash, reduced to each plane's member count: the
-     partition functions of the transport, IP and PF planes all divide
-     the same [Shard_map] value, so every layer agrees where a flow
-     lives. *)
-  let pf_steer ~src ~sport ~dst ~dport =
-    Shard_map.shard_of sm ~src ~sport ~dst ~dport mod np
-  in
-  let pf_shared_save, pf_shared_load = Storage.owner_view storage ~owner:"pf" in
-  let pf_set =
-    match config.pf_rules with
-    | None -> None
-    | Some _ ->
-        Some
-          (mkset "pf" np (fun j comp ~save ~load ->
-               (* The ruleset is one shared configuration blob; the
-                  conntrack snapshot is per shard. *)
-               let save k v = if k = "rules" then pf_shared_save k v else save k v
-               and load k = if k = "rules" then pf_shared_load k else load k in
-               let owns f =
-                 np <= 1
-                 || pf_steer ~src:f.Conntrack.local_ip
-                      ~sport:f.Conntrack.local_port ~dst:f.Conntrack.remote_ip
-                      ~dport:f.Conntrack.remote_port
-                    = j
-               in
-               Pf_srv.create comp ~save ~load
-                 ~max_entries:(max 1 (config.conntrack_total / np))
-                 ~owns ()))
-  in
-  let nic =
-    Mq.create engine ~registry ~link ~side:Link.Left
-      ~mac:(Addr.Mac.of_index 100) ~rss:(Shard_map.rss sm)
-      ~reset_time:config.nic_reset_time ()
-  in
-  let sink =
-    Sink.create engine ~link ~side:Link.Right ~addr:(Addr.Ipv4.v 10 0 0 2)
-      ~mac:(Addr.Mac.of_index 200) ()
-  in
-  let drv_set =
-    mkset "mqdrv" 1 (fun _ comp ~save:_ ~load:_ -> Mq_drv_srv.create comp ~nic ())
-  in
   let tcp_set =
-    mkset "tcp"
-      ~names:(Printf.sprintf "tcp%d")
-      n
-      (fun _ comp ~save ~load ->
+    mkset "tcp" n (fun _ comp ~save ~load ->
         Tcp_srv.create comp ~registry
           ~local_addr:(Addr.Ipv4.v 10 0 0 1)
           ?tcp_config:config.tcp_config ~save ~load ())
   in
   let udp_set =
-    mkset "udp"
-      ~names:(Printf.sprintf "udp%d")
-      nu
-      (fun _ comp ~save ~load ->
+    mkset "udp" 1 (fun _ comp ~save ~load ->
         Udp_srv.create comp ~registry
           ~local_addr:(Addr.Ipv4.v 10 0 0 1)
           ~save ~load ())
   in
+  let ip_set =
+    mkset "ip" r (fun _ comp ~save ~load ->
+        Ip_srv.create comp ~registry ~save ~load ())
+  in
+  (* The filter plane is steered by the transport map when it has at
+     most as many members, reduced to its own size, so every layer
+     agrees where a flow lives; a filter with more shards than the
+     transport plane (the split stack's sharded filter) gets a map of
+     its own. *)
+  let pf_hash =
+    let map =
+      if np <= n then sm else Shard_map.create ~seed:config.seed ~shards:np ()
+    in
+    fun ~src ~sport ~dst ~dport -> Shard_map.shard_of map ~src ~sport ~dst ~dport
+  in
+  let pf_set =
+    Option.map
+      (fun _ ->
+        mkset "pf" np (fun j comp ~save ~load ->
+            let owns f =
+              np <= 1
+              || pf_hash ~src:f.Conntrack.local_ip ~sport:f.Conntrack.local_port
+                   ~dst:f.Conntrack.remote_ip ~dport:f.Conntrack.remote_port
+                 mod np
+                 = j
+            in
+            Pf_srv.create comp ~save ~load
+              ~max_entries:(max 1 (config.conntrack_total / np))
+              ~owns ()))
+      config.pf_rules
+  in
+  let drv_core =
+    if config.coalesce_drivers then Some (Machine.add_dedicated_core machine)
+    else None
+  in
+  let drv_set =
+    mkset "drv" ~names:(Printf.sprintf "drv%d") ?core:drv_core config.nics
+      (fun i comp ~save:_ ~load:_ -> Mq_drv_srv.create comp ~nic:nics.(i) ())
+  in
   let sc_srv = Replica_set.srv sc_set 0 in
   let sc_comp = Replica_set.comp sc_set 0 in
-  let drv = Replica_set.srv drv_set 0 in
-  let drv_comp = Replica_set.comp drv_set 0 in
+  let udp = Replica_set.srv udp_set 0 in
+  let udp_comp = Replica_set.comp udp_set 0 in
   let tcps = Replica_set.servers tcp_set in
-  let udps = Replica_set.servers udp_set in
   let ips = Replica_set.servers ip_set in
+  let drvs = Replica_set.servers drv_set in
   let tcp_comps = Replica_set.comps tcp_set in
-  let udp_comps = Replica_set.comps udp_set in
   let ip_comps = Replica_set.comps ip_set in
+  let drv_comps = Replica_set.comps drv_set in
   let ip_name = Replica_set.name ip_set in
+  let tcp_name = Replica_set.name tcp_set in
+  let udp_name = Replica_set.name udp_set 0 in
+  let udp_ip = ips.(Replica_set.owner ip_set 0) in
   (* Per-plane load metrics, for whole-stack imbalance accounting. *)
   Replica_set.set_load tcp_set (fun srv ->
       float_of_int (Tcp_srv.total_bytes_out srv));
@@ -400,7 +418,10 @@ let create ?(config = default_config) () =
   (* Channels (Figure 3, replicated per shard and per IP replica).
      [Component.export] publishes each one under its key in the
      directory and re-publishes it when the consuming component is
-     reincarnated — the export belongs to the consumer. *)
+     reincarnated — the export belongs to the consumer. Queue slots are
+     cheap shared memory; size them so a full multi-flow
+     congestion-window burst never overflows a channel — a drop costs
+     the flow an RTO. *)
   let chan_ids = ref 0 in
   let chan () =
     incr chan_ids;
@@ -410,34 +431,11 @@ let create ?(config = default_config) () =
     Component.export comp ~key c;
     c
   in
-  (* The shared steering function, with IP's half of the affinity
-     journal wrapped around it. *)
-  let steer_journal = Hashtbl.create 64 in
-  let ip_violations = ref 0 in
-  let journal_steer shard_of ~src ~sport ~dst ~dport =
-    let s = shard_of ~src ~sport ~dst ~dport in
-    let key = flow_key src sport dst dport in
-    (match Hashtbl.find_opt steer_journal key with
-    | None -> Hashtbl.replace steer_journal key s
-    | Some s' when s' = s -> ()
-    | Some _ ->
-        incr ip_violations;
-        Hashtbl.replace steer_journal key s);
-    s
-  in
-  let tcp_steer =
-    journal_steer (fun ~src ~sport ~dst ~dport ->
-        Shard_map.shard_of sm ~src ~sport ~dst ~dport)
-  in
-  let udp_steer ~src ~sport ~dst ~dport =
-    Shard_map.shard_of sm ~src ~sport ~dst ~dport mod nu
-  in
-  (* IP <-> PF: the filter plane is [np] shards, each owning the flows
-     the shared hash maps to it. Every IP replica keeps a channel pair
-     to every shard (the reply comes back to whoever asked), and every
-     shard serves every replica. Conntrack recovery reads the union of
-     the transports' connection tables, filtered by each shard's
-     ownership predicate. *)
+  (* IP <-> PF: every IP replica keeps a channel pair to every shard
+     (the reply comes back to whoever asked), and every shard serves
+     every replica. Conntrack recovery reads the union of the
+     transports' connection tables, filtered by each shard's ownership
+     predicate. *)
   let pf_chans =
     match pf_set with
     | None -> [||]
@@ -454,68 +452,44 @@ let create ?(config = default_config) () =
                     (Printf.sprintf "%s.to_%s" pf_name (ip_name k))
                     (chan ())
                 in
+                Pf_srv.connect_ip (Replica_set.srv pfs j) ~from_ip:to_pf
+                  ~to_ip:from_pf;
                 (to_pf, from_pf)))
   in
-  (* PF rules ride the channel directory as a versioned broadcast: the
-     blob is saved once in the shared namespace, every shard applies it
-     on publish, and a reincarnated shard replays the publication (its
-     own restore-state hook reads the same shared blob, so the replay
-     is the belt to that suspender). *)
-  let pf_rule_version = ref 0 in
-  let publish_pf_rules rules =
-    pf_shared_save "rules" (Marshal.to_string (rules : Rule.t list) []);
-    incr pf_rule_version;
-    Pubsub.publish directory ~key:pf_rules_key ~creator:(-1)
-      ~chan_id:!pf_rule_version
+  if pf_set <> None then
+    Array.iteri
+      (fun k ip -> Ip_srv.connect_pf_sharded ip ~steer:pf_hash ~pairs:pf_chans.(k))
+      ips;
+  (* The shared steering function, with IP's half of the affinity
+     journal wrapped around it. One shard owns every flow: no steering,
+     no journal. *)
+  let steer_journal = Hashtbl.create 64 in
+  let ip_violations = ref 0 in
+  let tcp_steer =
+    if n = 1 then fun ~src:_ ~sport:_ ~dst:_ ~dport:_ -> 0
+    else fun ~src ~sport ~dst ~dport ->
+      let s = Shard_map.shard_of sm ~src ~sport ~dst ~dport in
+      let key = flow_key src sport dst dport in
+      (match Hashtbl.find_opt steer_journal key with
+      | None -> Hashtbl.replace steer_journal key s
+      | Some s' when s' = s -> ()
+      | Some _ ->
+          incr ip_violations;
+          Hashtbl.replace steer_journal key s);
+      s
   in
-  (match (pf_set, config.pf_rules) with
-  | Some pfs, Some rules ->
-      Array.iteri
-        (fun k ip ->
-          Ip_srv.connect_pf_sharded ip
-            ~steer:(fun ~src ~sport ~dst ~dport ->
-              Shard_map.shard_of sm ~src ~sport ~dst ~dport)
-            ~pairs:pf_chans.(k))
-        ips;
-      Array.iteri
-        (fun j pf ->
-          Array.iter
-            (fun row ->
-              let to_pf, from_pf = row.(j) in
-              Pf_srv.connect_ip pf ~from_ip:to_pf ~to_ip:from_pf)
-            pf_chans;
-          Pf_srv.set_conntrack_sources pf
-            ~tcp:(fun () ->
-              Array.to_list tcps |> List.concat_map Tcp_srv.conntrack_flows)
-            ~udp:(fun () ->
-              Array.to_list udps |> List.concat_map Udp_srv.conntrack_flows);
-          let apply = function
-            | `Published _ -> (
-                match pf_shared_load "rules" with
-                | Some blob ->
-                    Pf_engine.set_rules (Pf_srv.engine_of pf)
-                      (Marshal.from_string blob 0 : Rule.t list)
-                | None -> ())
-            | `Gone -> ()
-          in
-          Pubsub.subscribe_prefix directory ~prefix:pf_rules_key apply;
-          Component.on_restart (Replica_set.comp pfs j) ~step:"replay-rules"
-            (fun ~fresh:_ ->
-              Pubsub.replay_prefix directory ~prefix:pf_rules_key apply))
-        (Replica_set.servers pfs);
-      publish_pf_rules rules
-  | _ -> ());
-  (* IP <-> transport shards. TCP shard [i]'s requests are served by
-     replica [i mod r]; every replica keeps the complete fan-out array
-     so a received frame can steer to any shard. *)
+  (* IP <-> transports. TCP shard [i]'s requests are served by replica
+     [i mod r]; every replica keeps the complete fan-out array so a
+     received frame can steer to any shard. The UDP server talks to
+     replica 0. *)
   let tcp_to_ip =
     Array.init n (fun i ->
         export ip_comps.(Replica_set.owner ip_set i)
-          (Printf.sprintf "tcp%d.to_ip" i) (chan ()))
+          (Printf.sprintf "%s.to_ip" (tcp_name i)) (chan ()))
   in
   let ip_to_tcp =
     Array.init n (fun i ->
-        export tcp_comps.(i) (Printf.sprintf "ip.to_tcp%d" i) (chan ()))
+        export tcp_comps.(i) (Printf.sprintf "ip.to_%s" (tcp_name i)) (chan ()))
   in
   Array.iteri
     (fun k ip ->
@@ -528,156 +502,158 @@ let create ?(config = default_config) () =
     (fun i srv -> Tcp_srv.connect_ip srv ~to_ip:tcp_to_ip.(i) ~from_ip:ip_to_tcp.(i))
     tcps;
   let udp_to_ip =
-    Array.init nu (fun i ->
-        export ip_comps.(Replica_set.owner ip_set i)
-          (Printf.sprintf "udp%d.to_ip" i) (chan ()))
-  in
-  let ip_to_udp =
-    Array.init nu (fun i ->
-        export udp_comps.(i) (Printf.sprintf "ip.to_udp%d" i) (chan ()))
-  in
+    export ip_comps.(Replica_set.owner ip_set 0)
+      (Printf.sprintf "%s.to_ip" udp_name) (chan ())
+  and ip_to_udp = export udp_comp (Printf.sprintf "ip.to_%s" udp_name) (chan ()) in
   Array.iteri
     (fun k ip ->
       Ip_srv.connect_transport_sharded
         ~mine:(fun i -> Replica_set.owner ip_set i = k)
-        ip ~proto:`Udp ~steer:udp_steer
-        ~pairs:(Array.init nu (fun i -> (udp_to_ip.(i), ip_to_udp.(i)))))
+        ip ~proto:`Udp
+        ~steer:(fun ~src:_ ~sport:_ ~dst:_ ~dport:_ -> 0)
+        ~pairs:[| (udp_to_ip, ip_to_udp) |])
     ips;
-  Array.iteri
-    (fun i srv -> Udp_srv.connect_ip srv ~to_ip:udp_to_ip.(i) ~from_ip:ip_to_udp.(i))
-    udps;
-  (* SYSCALL <-> transport shards. *)
+  Udp_srv.connect_ip udp ~to_ip:udp_to_ip ~from_ip:ip_to_udp;
+  (* SYSCALL <-> transports. *)
   let sc_to_tcp =
     Array.init n (fun i ->
-        export tcp_comps.(i) (Printf.sprintf "sc.to_tcp%d" i) (chan ()))
+        export tcp_comps.(i) (Printf.sprintf "sc.to_%s" (tcp_name i)) (chan ()))
   in
   let tcp_to_sc =
     Array.init n (fun i ->
-        export sc_comp (Printf.sprintf "tcp%d.to_sc" i) (chan ()))
+        export sc_comp (Printf.sprintf "%s.to_sc" (tcp_name i)) (chan ()))
   in
   Syscall_srv.connect_transport_sharded sc_srv ~transport:`Tcp
     ~pairs:(Array.init n (fun i -> (sc_to_tcp.(i), tcp_to_sc.(i))));
   Array.iteri
     (fun i srv -> Tcp_srv.connect_sc srv ~from_sc:sc_to_tcp.(i) ~to_sc:tcp_to_sc.(i))
     tcps;
-  let sc_to_udp =
-    Array.init nu (fun i ->
-        export udp_comps.(i) (Printf.sprintf "sc.to_udp%d" i) (chan ()))
-  in
-  let udp_to_sc =
-    Array.init nu (fun i ->
-        export sc_comp (Printf.sprintf "udp%d.to_sc" i) (chan ()))
-  in
-  Syscall_srv.connect_transport_sharded sc_srv ~transport:`Udp
-    ~pairs:(Array.init nu (fun i -> (sc_to_udp.(i), udp_to_sc.(i))));
+  let sc_to_udp = export udp_comp (Printf.sprintf "sc.to_%s" udp_name) (chan ())
+  and udp_to_sc = export sc_comp (Printf.sprintf "%s.to_sc" udp_name) (chan ()) in
+  Syscall_srv.connect_transport sc_srv ~transport:`Udp ~to_transport:sc_to_udp
+    ~from_transport:udp_to_sc;
+  Udp_srv.connect_sc udp ~from_sc:sc_to_udp ~to_sc:udp_to_sc;
+  if n > 1 then begin
+    (* New sockets round-robin over the shards; the chosen shard then
+       picks a source port that hashes back to itself, so any placement
+       preserves flow affinity. *)
+    let next_tcp_sock = ref 0 in
+    Syscall_srv.set_placement sc_srv (fun ~transport ->
+        match transport with
+        | `Tcp ->
+            let s = !next_tcp_sock mod n in
+            incr next_tcp_sock;
+            s
+        | `Udp -> 0);
+    (* Shard affinity for active opens: shard [i] only uses source
+       ports that the RSS table maps to queue [i], skipping ports its
+       engine already has bound to the same destination; exhaustion of
+       the whole range is a hard connect error, not a silent wrong-queue
+       open. *)
+    Array.iteri
+      (fun i srv ->
+        Tcp_srv.set_port_select srv (fun ~src ~dst ~dst_port ->
+            let in_use port =
+              Tcp.port_in_use (Tcp_srv.engine srv) ~local_ip:src ~port
+                ~remote_ip:dst ~remote_port:dst_port
+            in
+            match
+              Shard_map.port_for_shard sm ~in_use ~shard:i ~src ~dst ~dst_port ()
+            with
+            | Ok p -> `Port p
+            | Error `Exhausted -> `Exhausted))
+      tcps
+  end;
+  (* The interfaces: port [i]'s driver serves all of its device's
+     queues, fanning RX completions out to the replica that owns each
+     queue (queue [q] belongs to replica [q mod r]). Every replica
+     holds one interface per port, at index [i], so routes and driver
+     notifications name ports the same way in every replica. *)
+  Array.iter (fun drv -> Mq_drv_srv.set_replicas drv r) drvs;
   Array.iteri
-    (fun i srv -> Udp_srv.connect_sc srv ~from_sc:sc_to_udp.(i) ~to_sc:udp_to_sc.(i))
-    udps;
-  (* New sockets round-robin over the shards; the chosen shard then
-     picks a source port that hashes back to itself, so any placement
-     preserves flow affinity. *)
-  let next_tcp_sock = ref 0 and next_udp_sock = ref 0 in
-  Syscall_srv.set_placement sc_srv (fun ~transport ->
-      match transport with
-      | `Tcp ->
-          let s = !next_tcp_sock mod n in
-          incr next_tcp_sock;
-          s
-      | `Udp ->
-          let s = !next_udp_sock mod nu in
-          incr next_udp_sock;
-          s);
-  (* Shard affinity for active opens: shard [i] only uses source ports
-     that the RSS table maps to queue [i], skipping ports its engine
-     already has bound to the same destination; exhaustion of the whole
-     range is a hard connect error, not a silent wrong-queue open. *)
-  Array.iteri
-    (fun i srv ->
-      Tcp_srv.set_port_select srv (fun ~src ~dst ~dst_port ->
-          let in_use port =
-            Tcp.port_in_use (Tcp_srv.engine srv) ~local_ip:src ~port
-              ~remote_ip:dst ~remote_port:dst_port
+    (fun k ip ->
+      Array.iteri
+        (fun i drv ->
+          let tx_chan =
+            export drv_comps.(i)
+              (Printf.sprintf "%s.to_%s" (ip_name k) (Replica_set.name drv_set i))
+              (chan ())
+          and rx_chan =
+            export ip_comps.(k)
+              (Printf.sprintf "%s.to_%s" (Replica_set.name drv_set i) (ip_name k))
+              (chan ())
           in
-          match
-            Shard_map.port_for_shard sm ~in_use ~shard:i ~src ~dst ~dst_port ()
-          with
-          | Ok p -> `Port p
-          | Error `Exhausted -> `Exhausted))
-    tcps;
-  (* The interface: one MQ driver serving all queues, fanning RX
-     completions out to the replica that owns each queue (queue [q]
-     belongs to replica [q mod r]). With a single instance the whole
-     device belongs to it, and a crash resets the device as before;
-     with replicas a crash fences only the dead replica's queues. *)
-  let hooks_for k =
-    if r = 1 then
-      {
-        Ip_srv.drv_connect =
-          (fun ~rx_from_ip ~tx_to_ip ->
-            Mq_drv_srv.connect_ip drv ~rx_from_ip ~tx_to_ip);
-        drv_grant_rx_pool =
-          (fun ~alloc ~write -> Mq_drv_srv.grant_rx_pool drv ~alloc ~write);
-        drv_on_ip_crash = (fun () -> Mq_drv_srv.on_ip_crash drv);
-        drv_on_ip_restart = (fun () -> Mq_drv_srv.on_ip_restart drv);
-      }
-    else
-      {
-        Ip_srv.drv_connect =
-          (fun ~rx_from_ip ~tx_to_ip ->
-            Mq_drv_srv.connect_ip_replica drv ~replica:k ~rx_from_ip ~tx_to_ip);
-        drv_grant_rx_pool =
-          (fun ~alloc ~write ->
-            Mq_drv_srv.grant_rx_pool_replica drv ~replica:k ~alloc ~write);
-        drv_on_ip_crash = (fun () -> Mq_drv_srv.on_ip_replica_crash drv ~replica:k);
-        drv_on_ip_restart =
-          (fun () -> Mq_drv_srv.on_ip_replica_restart drv ~replica:k);
-      }
-  in
-  if r > 1 then Mq_drv_srv.set_replicas drv r;
-  let ifaces =
-    Array.init r (fun k ->
-        let tx_chan =
-          export drv_comp (Printf.sprintf "%s.to_mqdrv" (ip_name k)) (chan ())
-        and rx_chan =
-          export ip_comps.(k) (Printf.sprintf "mqdrv.to_%s" (ip_name k)) (chan ())
-        in
-        let iface =
-          Ip_srv.add_iface_custom ips.(k)
-            { Ip_srv.addr = Addr.Ipv4.v 10 0 0 1; netmask_bits = 24; mac = Mq.mac nic }
-            ~hooks:(hooks_for k) ~tx_chan ~rx_chan
-        in
-        (* Self-originated frames (ARP, ICMP) go out on one of this
-           replica's own queues, so the TX confirm returns here. *)
-        Ip_srv.set_local_queue ips.(k) k;
-        Ip_srv.add_route ips.(k) ~prefix:(Addr.Ipv4.v 10 0 0 0) ~bits:24 ~iface
-          ~gateway:None;
-        Ip_srv.add_neighbor ips.(k) ~iface (Addr.Ipv4.v 10 0 0 2)
-          (Addr.Mac.of_index 200);
-        iface)
-  in
-  (* ARP learn-broadcast (replicated IP only): whichever replica's
-     queue a reply or request lands on announces the binding in the
-     channel directory; every replica — including a later restarted
-     incarnation, via replay — folds it into its own cache. Inserting
-     a learned binding never re-announces, so there is no loop. *)
-  let learn k = function
-    | `Published { Pubsub.key; creator = _; chan_id } -> (
-        try
-          Scanf.sscanf key "arp.%d.%s" (fun ifc ip_s ->
-              match Addr.Ipv4.of_string ip_s with
-              | Some addr ->
-                  Ip_srv.add_neighbor ips.(k) ~iface:ifc addr (mac_of_int chan_id)
-              | None -> ())
-        with Scanf.Scan_failure _ | Failure _ | End_of_file -> ())
-    | `Gone -> ()
-  in
+          let iface =
+            Ip_srv.add_iface ip
+              {
+                Ip_srv.addr = Addr.Ipv4.v 10 0 i 1;
+                netmask_bits = 24;
+                mac = Mq.mac nics.(i);
+              }
+              ~drv ~replica:k ~tx_chan ~rx_chan
+          in
+          Ip_srv.add_route ip ~prefix:(Addr.Ipv4.v 10 0 i 0) ~bits:24 ~iface
+            ~gateway:None;
+          Ip_srv.add_neighbor ip ~iface (Addr.Ipv4.v 10 0 i 2)
+            (Addr.Mac.of_index (200 + i)))
+        drvs;
+      (* Self-originated frames (ARP, ICMP) go out on one of this
+         replica's own queues, so the TX confirm returns here. *)
+      Ip_srv.set_local_queue ip k)
+    ips;
+  if config.nics > 1 then begin
+    (* Multihoming: transports pick the source address of the interface
+       the route uses. *)
+    let src_select ip dst =
+      match Ip_srv.src_addr_for ip dst with
+      | Some a -> a
+      | None -> Addr.Ipv4.v 10 0 0 1
+    in
+    Array.iteri
+      (fun i srv ->
+        Tcp_srv.set_src_select srv (src_select ips.(Replica_set.owner ip_set i)))
+      tcps;
+    Udp_srv.set_src_select udp (src_select udp_ip)
+  end;
+  (* The filter configuration — one ruleset on every shard. *)
+  (match (pf_set, config.pf_rules) with
+  | Some pfs, Some rules ->
+      Array.iter
+        (fun pf ->
+          Pf_srv.set_rules pf rules;
+          Pf_srv.set_conntrack_sources pf
+            ~tcp:(fun () ->
+              Array.to_list tcps |> List.concat_map Tcp_srv.conntrack_flows)
+            ~udp:(fun () -> Udp_srv.conntrack_flows udp))
+        (Replica_set.servers pfs)
+  | _ -> ());
   if r > 1 then begin
-    (* The statically configured peer is announced too, so replay after
-       a restart re-seeds it without waiting for a resolution. *)
-    Pubsub.publish directory
-      ~key:(arp_key ~iface:0 (Addr.Ipv4.v 10 0 0 2))
-      ~creator:(-1)
-      ~chan_id:(mac_to_int (Addr.Mac.of_index 200));
+    (* ARP learn-broadcast: whichever replica's queue a reply or
+       request lands on announces the binding in the channel directory;
+       every replica — including a later restarted incarnation, via
+       replay — folds it into its own cache. Inserting a learned
+       binding never re-announces, so there is no loop. *)
+    let learn k = function
+      | `Published { Pubsub.key; creator = _; chan_id } -> (
+          try
+            Scanf.sscanf key "arp.%d.%s" (fun ifc ip_s ->
+                match Addr.Ipv4.of_string ip_s with
+                | Some addr ->
+                    Ip_srv.add_neighbor ips.(k) ~iface:ifc addr (mac_of_int chan_id)
+                | None -> ())
+          with Scanf.Scan_failure _ | Failure _ | End_of_file -> ())
+      | `Gone -> ()
+    in
+    (* The statically configured peers are announced too, so replay
+       after a restart re-seeds them without waiting for a
+       resolution. *)
+    Array.iteri
+      (fun i _ ->
+        Pubsub.publish directory
+          ~key:(arp_key ~iface:i (Addr.Ipv4.v 10 0 i 2))
+          ~creator:(-1)
+          ~chan_id:(mac_to_int (Addr.Mac.of_index (200 + i))))
+      ports;
     Array.iteri
       (fun k ip ->
         Ip_srv.set_arp_announce ip (fun ~iface addr mac ->
@@ -688,37 +664,31 @@ let create ?(config = default_config) () =
            directory still holds everything the group has learned. *)
         Component.on_restart ip_comps.(k) ~step:"replay-arp" (fun ~fresh:_ ->
             Pubsub.replay_prefix directory ~prefix:"arp." (learn k)))
-      ips
+      ips;
+    (* A transport shard frees its receive buffers to the fixed replica
+       that serves its requests, but the frame arrived via whichever
+       replica owns the flow's queue — hand such buffers back to the
+       pool's owner. *)
+    let return_buf buf =
+      let pool = buf.Rich_ptr.pool in
+      Array.iter
+        (fun ip -> if Ip_srv.rx_pool_id ip = pool then Ip_srv.release_held ip buf)
+        ips
+    in
+    Array.iter (fun ip -> Ip_srv.set_buf_return ip return_buf) ips
   end;
-  (* A transport shard frees its receive buffers to the fixed replica
-     that serves its requests, but the frame arrived via whichever
-     replica owns the flow's queue — hand such buffers back to the
-     pool's owner. *)
-  let return_buf buf =
-    let pool = buf.Rich_ptr.pool in
-    Array.iter
-      (fun ip -> if Ip_srv.rx_pool_id ip = pool then Ip_srv.release_held ip buf)
-      ips
-  in
-  Array.iter (fun ip -> Ip_srv.set_buf_return ip return_buf) ips;
   (* Supervision: every plane's members recover independently. A
      transport shard crash reclaims only that shard's receive buffers
      (held by the replica that owns its queue for TCP, by any replica
      for UDP); an IP replica crash aborts only the in-flight requests
      of the shards it serves; a PF shard crash holds only its own
-     flows' packets — the other shards' traffic never stops. *)
-  let rs =
-    Reincarnation.create machine ~heartbeat_period:config.heartbeat_period
-      ~restart_delay:config.restart_delay ()
-  in
+     flows' packets; a driver crash stalls only its own port — the
+     other members' traffic never stops. *)
+  let rs = Reincarnation.create machine () in
+  let served_by i = Replica_set.owner ip_set i in
   Replica_set.supervise tcp_set rs
     ~notify_crash:(fun i ->
-      [
-        (fun () ->
-          Ip_srv.on_transport_shard_crash
-            ips.(Replica_set.owner ip_set i)
-            ~proto:`Tcp ~shard:i);
-      ])
+      [ (fun () -> Ip_srv.on_transport_shard_crash ips.(served_by i) ~proto:`Tcp ~shard:i) ])
     ~notify_restart:(fun i ->
       [ (fun () -> Syscall_srv.on_transport_restart ~shard:i sc_srv ~transport:`Tcp) ]);
   Replica_set.supervise udp_set rs
@@ -731,22 +701,14 @@ let create ?(config = default_config) () =
       [ (fun () -> Syscall_srv.on_transport_restart ~shard:i sc_srv ~transport:`Udp) ]);
   Replica_set.supervise ip_set rs
     ~notify_crash:(fun k ->
-      (* Only the shards this replica serves lose their channel. *)
-      let my_tcps =
-        List.filteri (fun i _ -> Replica_set.owner ip_set i = k) (Array.to_list tcps)
-      and my_udps =
-        List.filteri (fun i _ -> Replica_set.owner ip_set i = k) (Array.to_list udps)
-      in
+      (* Only the transports this replica serves lose their channel. *)
+      let my_tcps = List.filteri (fun i _ -> served_by i = k) (Array.to_list tcps) in
       List.map (fun srv () -> Tcp_srv.on_ip_crash srv) my_tcps
-      @ List.map (fun srv () -> Udp_srv.on_ip_crash srv) my_udps)
+      @ if served_by 0 = k then [ (fun () -> Udp_srv.on_ip_crash udp) ] else [])
     ~notify_restart:(fun k ->
-      let my_tcps =
-        List.filteri (fun i _ -> Replica_set.owner ip_set i = k) (Array.to_list tcps)
-      and my_udps =
-        List.filteri (fun i _ -> Replica_set.owner ip_set i = k) (Array.to_list udps)
-      in
+      let my_tcps = List.filteri (fun i _ -> served_by i = k) (Array.to_list tcps) in
       List.map (fun srv () -> Tcp_srv.on_ip_restart srv) my_tcps
-      @ List.map (fun srv () -> Udp_srv.on_ip_restart srv) my_udps);
+      @ if served_by 0 = k then [ (fun () -> Udp_srv.on_ip_restart udp) ] else []);
   Option.iter
     (fun pfs ->
       Replica_set.supervise pfs rs
@@ -758,18 +720,15 @@ let create ?(config = default_config) () =
             (Array.map (fun ip () -> Ip_srv.on_pf_restart ~shard:j ip) ips)))
     pf_set;
   Replica_set.supervise drv_set rs
-    ~notify_crash:(fun _ ->
-      Array.to_list
-        (Array.mapi (fun k ip () -> Ip_srv.on_drv_crash ip ~iface:ifaces.(k)) ips))
-    ~notify_restart:(fun _ ->
-      Array.to_list
-        (Array.mapi (fun k ip () -> Ip_srv.on_drv_restart ip ~iface:ifaces.(k)) ips));
+    ~notify_crash:(fun i ->
+      Array.to_list (Array.map (fun ip () -> Ip_srv.on_drv_crash ip ~iface:i) ips))
+    ~notify_restart:(fun i ->
+      Array.to_list (Array.map (fun ip () -> Ip_srv.on_drv_restart ip ~iface:i) ips));
   Reincarnation.start rs;
   {
     config;
     engine;
     machine;
-    registry;
     trace;
     directory;
     storage;
@@ -781,14 +740,10 @@ let create ?(config = default_config) () =
     ip_set;
     pf_set;
     drv_set;
-    nic;
-    link;
-    sink;
+    ports;
     tcp_to_ip;
     ip_to_tcp;
     pf_chans;
-    publish_pf_rules;
-    steer_journal;
     ip_violations;
     next_app_pid = 10_000;
   }

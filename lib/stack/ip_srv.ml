@@ -120,7 +120,6 @@ let costs t = Machine.costs (Component.machine t.comp)
 let routes t = Ipv4.Route.entries t.route_table
 let rx_pool_in_use t = Pool.in_use t.rx_pool
 let rx_pool_id t = Pool.id t.rx_pool
-let hdr_pool_in_use t = Pool.in_use t.hdr_pool
 let packets_forwarded t = t.packets_forwarded
 let icmp_echoes_answered t = t.icmp_echoes
 
@@ -688,18 +687,19 @@ let add_iface_custom t cfg ~hooks ~tx_chan ~rx_chan =
   grant_pool_to t hooks;
   i
 
-let hooks_of_drv drv =
-  {
-    drv_connect =
-      (fun ~rx_from_ip ~tx_to_ip -> Drv_srv.connect_ip drv ~rx_from_ip ~tx_to_ip);
-    drv_grant_rx_pool =
-      (fun ~alloc ~write -> Drv_srv.grant_rx_pool drv ~alloc ~write);
-    drv_on_ip_crash = (fun () -> Drv_srv.on_ip_crash drv);
-    drv_on_ip_restart = (fun () -> Drv_srv.on_ip_restart drv);
-  }
-
-let add_iface t cfg ~drv ~tx_chan ~rx_chan =
-  add_iface_custom t cfg ~hooks:(hooks_of_drv drv) ~tx_chan ~rx_chan
+let add_iface t cfg ~drv ~replica ~tx_chan ~rx_chan =
+  let hooks =
+    {
+      drv_connect =
+        (fun ~rx_from_ip ~tx_to_ip ->
+          Mq_drv_srv.connect_ip drv ~replica ~rx_from_ip ~tx_to_ip);
+      drv_grant_rx_pool =
+        (fun ~alloc ~write -> Mq_drv_srv.grant_rx_pool drv ~replica ~alloc ~write);
+      drv_on_ip_crash = (fun () -> Mq_drv_srv.on_ip_crash drv ~replica);
+      drv_on_ip_restart = (fun () -> Mq_drv_srv.on_ip_restart drv ~replica);
+    }
+  in
+  add_iface_custom t cfg ~hooks ~tx_chan ~rx_chan
 
 let connect_pf_sharded t ~steer ~pairs =
   t.pf <-
@@ -823,10 +823,6 @@ let free_held t ~keep =
       Hashtbl.remove t.held_bufs b;
       free_rx t b)
     doomed
-
-let on_transport_crash t ~proto =
-  let tag = match proto with `Tcp -> `Tcp | `Udp -> `Udp in
-  free_held t ~keep:(fun (owner, _) -> owner <> tag)
 
 let on_transport_shard_crash t ~proto ~shard =
   (* Only the crashed shard's buffers die; the other shards' flows keep

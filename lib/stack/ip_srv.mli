@@ -46,13 +46,21 @@ val proc : t -> Proc.t
 
 (** {1 Wiring} *)
 
-val add_iface : t -> iface_config -> drv:Drv_srv.t -> tx_chan:Msg.t Newt_channels.Sim_chan.t -> rx_chan:Msg.t Newt_channels.Sim_chan.t -> int
-(** Register interface [i] served by [drv]; returns the interface
-    index. [tx_chan] carries IP→driver messages, [rx_chan]
+val add_iface :
+  t ->
+  iface_config ->
+  drv:Mq_drv_srv.t ->
+  replica:int ->
+  tx_chan:Msg.t Newt_channels.Sim_chan.t ->
+  rx_chan:Msg.t Newt_channels.Sim_chan.t ->
+  int
+(** Register interface [i] served by [drv], attached as the driver's IP
+    replica [replica] (0 when IP is not replicated); returns the
+    interface index. [tx_chan] carries IP→driver messages, [rx_chan]
     driver→IP. Grants the driver the receive-pool capability. *)
 
-(** What IP needs from a driver, abstracted so a multi-queue driver
-    ({!Mq_drv_srv}) can serve an interface just like {!Drv_srv}. *)
+(** What IP needs from a driver, abstracted so a driver other than
+    {!Mq_drv_srv} (the native runtime's) can serve an interface. *)
 type driver_hooks = {
   drv_connect :
     rx_from_ip:Msg.t Newt_channels.Sim_chan.t ->
@@ -180,13 +188,9 @@ val on_pf_restart : ?shard:int -> t -> unit
 val on_drv_crash : t -> iface:int -> unit
 val on_drv_restart : t -> iface:int -> unit
 
-val on_transport_crash : t -> proto:[ `Tcp | `Udp ] -> unit
-(** Reclaim receive buffers the dead transport still held. *)
-
 val on_transport_shard_crash : t -> proto:[ `Tcp | `Udp ] -> shard:int -> unit
-(** Like {!on_transport_crash} but for one shard of a sharded
-    transport: only that shard's held buffers are reclaimed, the other
-    shards' flows are untouched. *)
+(** Reclaim the receive buffers transport shard [shard] still held:
+    only that shard's, the other shards' flows are untouched. *)
 
 val release_held : t -> Newt_channels.Rich_ptr.t -> unit
 (** Free the receive-pool frame backing [buf] (the target of a
@@ -215,6 +219,5 @@ val rx_pool_id : t -> int
     supervisor dispatch a returned buffer to the replica that owns it. *)
 
 val rx_pool_in_use : t -> int
-val hdr_pool_in_use : t -> int
 val packets_forwarded : t -> int
 val icmp_echoes_answered : t -> int

@@ -31,7 +31,7 @@ type socket = {
 type iface = {
   addr : Addr.Ipv4.t;
   mac : Addr.Mac.t;
-  drv : Drv_srv.t;
+  drv : Mq_drv_srv.t;
   tx : Msg.t Sim_chan.t;
   arp : Arp.Cache.t;
 }
@@ -354,8 +354,8 @@ let add_iface t ~addr ~mac ~drv ~tx_chan ~rx_chan =
   t.ifaces <-
     t.ifaces @ [ { addr; mac; drv; tx = tx_chan; arp = Arp.Cache.create ~my_mac:mac ~my_ip:addr () } ];
   Proc.add_rx t.proc rx_chan (handle_msg t ~rx_iface:i);
-  Drv_srv.connect_ip drv ~rx_from_ip:tx_chan ~tx_to_ip:rx_chan;
-  Drv_srv.grant_rx_pool drv
+  Mq_drv_srv.connect_ip drv ~replica:0 ~rx_from_ip:tx_chan ~tx_to_ip:rx_chan;
+  Mq_drv_srv.grant_rx_pool drv ~replica:0
     ~alloc:(fun () ->
       match Pool.alloc t.rx_pool ~len:(Pool.slot_size t.rx_pool) with
       | ptr -> Some ptr

@@ -34,7 +34,7 @@ val add_iface :
   t ->
   addr:Newt_net.Addr.Ipv4.t ->
   mac:Newt_net.Addr.Mac.t ->
-  drv:Drv_srv.t ->
+  drv:Mq_drv_srv.t ->
   tx_chan:Msg.t Newt_channels.Sim_chan.t ->
   rx_chan:Msg.t Newt_channels.Sim_chan.t ->
   int

@@ -19,8 +19,10 @@ bench="$root/_build/default/bench/main.exe"
 
 (cd "$root" && dune build bin/newtos_sim.exe bench/main.exe)
 
-out=$(mktemp -d)
-trap 'rm -rf "$out"' EXIT
+# Fresh outputs go under _build/, which the build already owns.
+out="$root/_build/sim_golden"
+rm -rf "$out"
+mkdir -p "$out"
 
 # name|command (run from the repo root)
 cmds='crosscheck|sim crosscheck

@@ -924,6 +924,18 @@ let test_multi_nic_host () =
         true (totals.(i) > 10_000_000))
     iperfs
 
+(* Impossible split configurations fail at create, not at first use
+   (a [Division_by_zero] in [Host.app], an index error in [sink]). *)
+let test_rejects_zero_app_cores () =
+  match Host.create ~config:{ Host.default_config with Host.app_cores = 0 } () with
+  | _ -> Alcotest.fail "a host without application cores was built"
+  | exception Invalid_argument _ -> ()
+
+let test_rejects_zero_nics () =
+  match Host.create ~config:{ Host.default_config with Host.nics = 0 } () with
+  | _ -> Alcotest.fail "a host without interfaces was built"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     ("bulk TCP reaches gigabit wire speed", `Quick, test_bulk_throughput_near_wire);
@@ -990,4 +1002,6 @@ let suite =
     ("inbound bulk at wire speed", `Quick, test_inbound_bulk_throughput);
     ("same seed, bit-identical runs", `Quick, test_determinism);
     ("channel directory + trace log", `Quick, test_channel_directory);
+    ("create rejects app_cores = 0", `Quick, test_rejects_zero_app_cores);
+    ("create rejects nics = 0", `Quick, test_rejects_zero_nics);
   ]

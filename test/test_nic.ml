@@ -8,7 +8,7 @@ module Time = Newt_sim.Time
 module Ring = Newt_nic.Ring
 module Link = Newt_nic.Link
 module Offload = Newt_nic.Offload
-module E1000 = Newt_nic.E1000
+module Mq = Newt_nic.Mq_e1000
 module Pool = Newt_channels.Pool
 module Registry = Newt_channels.Registry
 module Rich_ptr = Newt_channels.Rich_ptr
@@ -339,13 +339,16 @@ let test_offload_udp_csum () =
       | None -> Alcotest.fail "bad ip")
   | None -> Alcotest.fail "bad eth"
 
-(* {2 E1000 device} *)
+(* {2 E1000 device}
+
+   The paper's gigabit adapter is the device model's one-queue
+   configuration under the e1000 profile. *)
 
 type dev_world = {
   engine : Engine.t;
   registry : Registry.t;
   pool : Pool.t;
-  dev : E1000.t;
+  dev : Mq.t;
   link : Link.t;
   received_frames : Bytes.t list ref;
 }
@@ -357,7 +360,8 @@ let make_dev_world () =
   Registry.register registry pool;
   let link = Link.create engine () in
   let dev =
-    E1000.create engine ~registry ~link ~side:Link.Left ~mac:(Addr.Mac.of_index 1) ()
+    Mq.create engine ~registry ~link ~side:Link.Left ~mac:(Addr.Mac.of_index 1)
+      ~rss:(Newt_nic.Rss.create ~queues:1 ()) ~profile:Mq.E1000 ()
   in
   let received_frames = ref [] in
   Link.attach link Link.Right (fun f -> received_frames := f :: !received_frames);
@@ -367,49 +371,49 @@ let post_frame w bytes =
   let ptr = Pool.alloc w.pool ~len:(Bytes.length bytes) in
   Pool.write w.pool ptr ~src:bytes ~src_off:0;
   let ok =
-    E1000.post_tx w.dev
-      { E1000.chain = [ ptr ]; csum_offload = false; tso = false; tso_mss = 1460; tx_cookie = 7 }
+    Mq.post_tx w.dev ~queue:0
+      { Mq.chain = [ ptr ]; csum_offload = false; tso = false; tso_mss = 1460; tx_cookie = 7 }
   in
   Alcotest.(check bool) "posted" true ok;
-  E1000.doorbell_tx w.dev
+  Mq.doorbell_tx w.dev ~queue:0
 
 let test_e1000_tx_path () =
   let w = make_dev_world () in
   post_frame w (Bytes.of_string "a frame on the wire");
   Engine.run w.engine;
-  Alcotest.(check int) "transmitted" 1 (E1000.tx_packets w.dev);
+  Alcotest.(check int) "transmitted" 1 (Mq.tx_packets w.dev);
   (match !(w.received_frames) with
   | [ f ] -> Alcotest.(check string) "content" "a frame on the wire" (Bytes.to_string f)
   | l -> Alcotest.fail (Printf.sprintf "expected 1 frame, got %d" (List.length l)));
   (* Completion is reported so the owner can free the buffers. *)
-  match E1000.reap_tx w.dev with
-  | Some d -> Alcotest.(check int) "cookie returned" 7 d.E1000.tx_cookie
+  match Mq.reap_tx w.dev ~queue:0 with
+  | Some d -> Alcotest.(check int) "cookie returned" 7 d.Mq.tx_cookie
   | None -> Alcotest.fail "no tx completion"
 
 let test_e1000_tx_irq () =
   let w = make_dev_world () in
   let irqs = ref [] in
-  E1000.set_irq_handler w.dev (fun r -> irqs := r :: !irqs);
+  Mq.set_irq_handler w.dev (fun r -> irqs := r :: !irqs);
   post_frame w (Bytes.create 64);
   Engine.run w.engine;
-  Alcotest.(check bool) "tx interrupt raised" true (List.mem E1000.Tx_done !irqs)
+  Alcotest.(check bool) "tx interrupt raised" true (List.mem (Mq.Tx_done 0) !irqs)
 
 let test_e1000_rx_path () =
   let w = make_dev_world () in
   let irqs = ref 0 in
-  E1000.set_irq_handler w.dev (fun r -> if r = E1000.Rx_done then incr irqs);
-  E1000.set_rx_writer w.dev (fun ptr frame ->
+  Mq.set_irq_handler w.dev (fun r -> if r = Mq.Rx_done 0 then incr irqs);
+  Mq.set_rx_writer w.dev (fun ptr frame ->
       Pool.write w.pool { ptr with Rich_ptr.len = Bytes.length frame } ~src:frame ~src_off:0);
   let buf = Pool.alloc w.pool ~len:2048 in
-  Alcotest.(check bool) "rx posted" true (E1000.post_rx w.dev { E1000.buf; rx_cookie = 3 });
+  Alcotest.(check bool) "rx posted" true (Mq.post_rx w.dev ~queue:0 { Mq.buf; rx_cookie = 3 });
   ignore (Link.transmit w.link ~from:Link.Right (Bytes.of_string "incoming!"));
   Engine.run w.engine;
   Alcotest.(check int) "rx interrupt" 1 !irqs;
-  match E1000.reap_rx w.dev with
+  match Mq.reap_rx w.dev ~queue:0 with
   | Some completion ->
-      Alcotest.(check int) "length" 9 completion.E1000.len;
+      Alcotest.(check int) "length" 9 completion.Mq.len;
       let data =
-        Pool.read w.pool { completion.E1000.rx_buf with Rich_ptr.len = completion.E1000.len }
+        Pool.read w.pool { completion.Mq.rx_buf with Rich_ptr.len = completion.Mq.len }
       in
       Alcotest.(check string) "dma'd content" "incoming!" (Bytes.to_string data)
   | None -> Alcotest.fail "no rx completion"
@@ -418,53 +422,53 @@ let test_e1000_rx_no_buffer_drops () =
   let w = make_dev_world () in
   ignore (Link.transmit w.link ~from:Link.Right (Bytes.create 64));
   Engine.run w.engine;
-  Alcotest.(check int) "dropped for lack of descriptors" 1 (E1000.rx_no_buffer w.dev)
+  Alcotest.(check int) "dropped for lack of descriptors" 1 (Mq.rx_no_buffer w.dev)
 
 let test_e1000_reset_bounces_link () =
   let w = make_dev_world () in
   let link_irq = ref false in
-  E1000.set_irq_handler w.dev (fun r -> if r = E1000.Link_change then link_irq := true);
-  E1000.reset w.dev;
-  Alcotest.(check bool) "link down during reset" false (E1000.link_up w.dev);
+  Mq.set_irq_handler w.dev (fun r -> if r = Mq.Link_change then link_irq := true);
+  Mq.reset w.dev;
+  Alcotest.(check bool) "link down during reset" false (Mq.link_up w.dev);
   Engine.run w.engine;
-  Alcotest.(check bool) "link back up" true (E1000.link_up w.dev);
+  Alcotest.(check bool) "link back up" true (Mq.link_up w.dev);
   Alcotest.(check bool) "link-change interrupt" true !link_irq
 
 let test_e1000_unsafe_stops_processing () =
   let w = make_dev_world () in
-  E1000.mark_unsafe w.dev;
+  Mq.mark_unsafe w.dev;
   post_frame w (Bytes.create 64);
   Engine.run w.engine;
-  Alcotest.(check int) "nothing transmitted while unsafe" 0 (E1000.tx_packets w.dev);
+  Alcotest.(check int) "nothing transmitted while unsafe" 0 (Mq.tx_packets w.dev);
   (* Reset recovers. *)
-  E1000.reset w.dev;
+  Mq.reset w.dev;
   Engine.run w.engine;
-  Alcotest.(check bool) "safe after reset" false (E1000.is_unsafe w.dev)
+  Alcotest.(check bool) "safe after reset" false (Mq.is_unsafe w.dev)
 
 let test_e1000_misconfigured_drops_rx () =
   let w = make_dev_world () in
-  E1000.set_rx_writer w.dev (fun ptr frame ->
+  Mq.set_rx_writer w.dev (fun ptr frame ->
       Pool.write w.pool { ptr with Rich_ptr.len = Bytes.length frame } ~src:frame ~src_off:0);
   let buf = Pool.alloc w.pool ~len:2048 in
-  ignore (E1000.post_rx w.dev { E1000.buf; rx_cookie = 0 });
-  E1000.misconfigure w.dev;
+  ignore (Mq.post_rx w.dev ~queue:0 { Mq.buf; rx_cookie = 0 });
+  Mq.misconfigure w.dev;
   ignore (Link.transmit w.link ~from:Link.Right (Bytes.create 64));
   Engine.run w.engine;
-  Alcotest.(check int) "misconfigured device receives nothing" 0 (E1000.rx_packets w.dev)
+  Alcotest.(check int) "misconfigured device receives nothing" 0 (Mq.rx_packets w.dev)
 
 let test_e1000_stale_chain_dropped () =
   let w = make_dev_world () in
   let ptr = Pool.alloc w.pool ~len:64 in
   Pool.write w.pool ptr ~src:(Bytes.create 64) ~src_off:0;
   ignore
-    (E1000.post_tx w.dev
-       { E1000.chain = [ ptr ]; csum_offload = false; tso = false; tso_mss = 0; tx_cookie = 1 });
+    (Mq.post_tx w.dev ~queue:0
+       { Mq.chain = [ ptr ]; csum_offload = false; tso = false; tso_mss = 0; tx_cookie = 1 });
   (* The owner crashes and its pool is freed before the DMA happens. *)
   Pool.free w.pool ptr;
-  E1000.doorbell_tx w.dev;
+  Mq.doorbell_tx w.dev ~queue:0;
   Engine.run w.engine;
-  Alcotest.(check int) "frame dropped, not garbage-transmitted" 0 (E1000.tx_packets w.dev);
-  Alcotest.(check bool) "descriptor still completes" true (E1000.reap_tx w.dev <> None)
+  Alcotest.(check int) "frame dropped, not garbage-transmitted" 0 (Mq.tx_packets w.dev);
+  Alcotest.(check bool) "descriptor still completes" true (Mq.reap_tx w.dev ~queue:0 <> None)
 
 let test_e1000_tso_on_the_wire () =
   let w = make_dev_world () in
@@ -475,9 +479,9 @@ let test_e1000_tso_on_the_wire () =
   let ptr = Pool.alloc jumbo ~len:(Bytes.length frame) in
   Pool.write jumbo ptr ~src:frame ~src_off:0;
   ignore
-    (E1000.post_tx w.dev
-       { E1000.chain = [ ptr ]; csum_offload = true; tso = true; tso_mss = 1460; tx_cookie = 1 });
-  E1000.doorbell_tx w.dev;
+    (Mq.post_tx w.dev ~queue:0
+       { Mq.chain = [ ptr ]; csum_offload = true; tso = true; tso_mss = 1460; tx_cookie = 1 });
+  Mq.doorbell_tx w.dev ~queue:0;
   Engine.run w.engine;
   Alcotest.(check int) "split into 3 wire frames" 3 (List.length !(w.received_frames));
   (* Each piece decodes and the payload reassembles. *)

@@ -489,6 +489,37 @@ let test_pf_shard_crash_isolation () =
   check_partition 0;
   check_partition 1
 
+(* The split stack is the builder's 1×1×1 configuration. The
+   campaign, the verifier and the model checker find components and
+   channels by the paper's Figure 3 names, so those names must not
+   drift: the components, and every exported channel key, published in
+   the directory under the wired channel's id. *)
+let test_split_publishes_figure3_names () =
+  let module Host = Newt_core.Host in
+  let module Component = Newt_stack.Component in
+  let module Sim_chan = Newt_channels.Sim_chan in
+  let s = S.create ~config:(Host.stack_config Host.default_config) () in
+  Alcotest.(check (list string)) "components"
+    [ "sc"; "tcp"; "udp"; "ip"; "pf"; "drv0" ]
+    (List.map Component.name (S.components s));
+  let exports = List.concat_map Component.exports (S.components s) in
+  Alcotest.(check (list string)) "channel keys"
+    (List.sort compare
+       [
+         "ip.to_pf"; "pf.to_ip"; "tcp.to_ip"; "ip.to_tcp"; "udp.to_ip";
+         "ip.to_udp"; "sc.to_tcp"; "tcp.to_sc"; "sc.to_udp"; "udp.to_sc";
+         "ip.to_drv0"; "drv0.to_ip";
+       ])
+    (List.sort compare (List.map fst exports));
+  List.iter
+    (fun (key, chan) ->
+      match Pubsub.lookup (S.directory s) ~key with
+      | Some p ->
+          Alcotest.(check int) (key ^ " published") (Sim_chan.id chan)
+            p.Pubsub.chan_id
+      | None -> Alcotest.failf "%s not published" key)
+    exports
+
 let suite =
   [
     ( "shard map is deterministic and symmetric",
@@ -509,4 +540,5 @@ let suite =
     ("every replica set reports as a plane", `Quick, test_planes_cover_every_replica_set);
     ("sharded PF lifts the single-PF plateau", `Slow, test_pf_sharding_lifts_plateau);
     ("one PF shard crashes, conntrack partitions survive", `Slow, test_pf_shard_crash_isolation);
+    ("1x1x1 configuration publishes Figure 3's names", `Quick, test_split_publishes_figure3_names);
   ]

@@ -765,7 +765,7 @@ let test_mcheck_split_crash_point_space () =
   (* The split stack's search space: every killable component of a
      probe host (the supervisor itself is not a crash point), each with
      the built-in steps bracketing its labeled recovery procedure. *)
-  let specs = E.split_crash_points () in
+  let specs = E.crash_points E.Split in
   Alcotest.(check (list string)) "killable components"
     [ "drv0"; "ip"; "pf"; "tcp"; "udp" ]
     (List.sort compare (List.map fst specs));
@@ -778,6 +778,35 @@ let test_mcheck_split_crash_point_space () =
     specs;
   Alcotest.(check int) "sixteen crash points" 16
     (List.length (Mcheck.enumerate specs))
+
+exception Flows_open of int list
+
+let test_mcheck_seed_reaches_sharded () =
+  (* [mcheck --seed] builds every configuration's worlds on that seed.
+     The sharded stack's seed keys its RSS hash, and through it the
+     source ports the shards pick for their flows: the first crash
+     point's four flows open from different ports under another seed.
+     The search is cut short once they have. *)
+  let syn_ports seed =
+    let ports = ref [] in
+    let tok =
+      Hook.add (fun ~actor:_ ev ->
+          match ev with
+          | Hook.T_seg_tx { lport; rport; flags; _ }
+            when flags.Hook.syn && (not flags.Hook.ack) && rport >= 5001 && rport <= 5004 ->
+              ports := lport :: !ports;
+              if List.length !ports = 4 then raise (Flows_open (List.rev !ports))
+          | _ -> ())
+    in
+    Fun.protect
+      ~finally:(fun () -> Hook.remove tok)
+      (fun () ->
+        match E.mcheck ~seed E.Sharded with
+        | _ -> Alcotest.fail "the search ran without opening its flows"
+        | exception Flows_open ports -> ports)
+  in
+  Alcotest.(check bool) "the seed changes the world" true
+    (syn_ports 42 <> syn_ports 7)
 
 (* --- sanitizer: a real fault-injected run ------------------------- *)
 
@@ -1045,6 +1074,8 @@ let suite =
       test_mcheck_budget_skips_never_drops);
     ("mcheck: split-stack crash-point space", `Quick,
       test_mcheck_split_crash_point_space);
+    ("mcheck: --seed reaches the sharded search", `Quick,
+      test_mcheck_seed_reaches_sharded);
     ("tcp-fsm: tables lint clean", `Quick, test_tcpfsm_lint_clean);
     ("tcp-fsm: lint catches deleted rules", `Quick,
       test_tcpfsm_lint_catches_deleted_rules);
